@@ -1,7 +1,7 @@
 (* Durable search sessions. See checkpoint.mli and DESIGN.md ("Durable
    sessions") for the model; the short version: a checkpoint is the complete
    control state of the search at a path boundary, everything else is
-   recomputed by re-execution. *)
+   recomputed by re-execution when the session resumes. *)
 
 module B = Fairmc_util.Bitset
 module Json = Fairmc_util.Json
@@ -87,8 +87,9 @@ let fingerprint (cfg : C.t) ~program =
       "cov=" ^ b cfg.coverage;
       "metrics=" ^ b cfg.metrics;
       "analyses=" ^ String.concat "," (List.map (fun (a : AH.t) -> a.AH.name) cfg.analyses);
-      (* Backends are observably equivalent, but a resumed session must
-         replay the prefix on the backend that produced the checkpoint. *)
+      (* Backends are observably equivalent, but a resumed session's first
+         path re-executes the prefix, and only the VM can rewind the later
+         ones: keep the session on the backend that produced it. *)
       "interp=" ^ C.interp_name cfg.interp;
       (* Transition merging changes the tree shape. *)
       "spor=" ^ b cfg.static_por ]

@@ -1,8 +1,9 @@
 (** Durable search sessions: checkpoint files and graceful interruption.
 
-    A long stateless-model-checking run is pure re-execution from the initial
-    state, so its complete progress is captured by a small amount of control
-    state: the DFS frame stack (with the untried alternatives and sleep set
+    A long stateless-model-checking run keeps no program state that it
+    cannot recompute by re-executing from the initial state (the backtracking
+    snapshots of a rewinding search are a cache of exactly that), so its
+    complete progress is captured by a small amount of control state: the DFS frame stack (with the untried alternatives and sleep set
     of every frame), the RNG state for sampling modes, the accumulated
     statistics/metrics/coverage/analysis totals, and — for the parallel
     systematic search — the per-work-item completion records. This module

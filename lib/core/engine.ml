@@ -56,6 +56,7 @@ type t = {
   mutable steps : int;
   snapshot : (unit -> Fnv.t) option;
   snapshotters : (Fnv.t -> Fnv.t) list;
+  saver : Program.saver option;  (* [None] also when an observer is installed *)
   mutable sync_ops : int;
   mutable var_ops : int;
   op_counts : int array;  (* transitions by Op.kind_index *)
@@ -166,9 +167,10 @@ let start (prog : Program.t) =
   let store = Objects.create () in
   let c = Runtime.reset store in
   let booted = prog.Program.boot () in
+  let obs = !(Domain.DLS.get observer_key) in
   let t =
     { prog_store = store;
-      obs = !(Domain.DLS.get observer_key);
+      obs;
       threads = Array.make 8 Finished;
       prev_op = Array.make 8 None;
       op_repeat = Array.make 8 0;
@@ -178,6 +180,11 @@ let start (prog : Program.t) =
       steps = 0;
       snapshot = booted.Program.snapshot;
       snapshotters = c.snapshotters;
+      saver =
+        (* An observer (dynamic analysis) keeps per-execution state of its
+           own, and Svar snapshotters hash user state the saver cannot see:
+           both need the run re-executed. *)
+        (match (obs, c.snapshotters) with None, [] -> booted.Program.saver | _ -> None);
       sync_ops = 0;
       var_ops = 0;
       op_counts = Array.make Op.n_kinds 0;
@@ -324,6 +331,79 @@ let state_signature t =
   done;
   let h = List.fold_left (fun acc f -> f acc) !h t.snapshotters in
   match t.snapshot with None -> h | Some f -> Fnv.int h (Int64.to_int (f ()))
+
+(* One flat array, so a snapshot is a single cheap block: the step count,
+   the thread count, the finished set, the object count, then the object
+   states, each thread's op-repeat counter and the program's state. *)
+type saved = int array
+
+let saveable t = Option.is_some t.saver
+
+let save t =
+  match t.saver with
+  | None -> invalid_arg "Engine.save: run cannot be saved"
+  | Some s ->
+    if t.failure <> None then invalid_arg "Engine.save: execution already failed";
+    if Hashtbl.length (Runtime.ctx ()).regions > 0 then
+      invalid_arg "Engine.save: program uses Sync.at regions";
+    let n = t.nthreads and nobj = Objects.length t.prog_store in
+    let sv = Array.make (4 + nobj + n + s.Program.words) 0 in
+    let finished = ref B.empty in
+    for tid = 0 to n - 1 do
+      (match t.threads.(tid) with
+       | Finished -> finished := B.add tid !finished
+       | Parked _ | Running -> ());
+      sv.(4 + nobj + tid) <- t.op_repeat.(tid)
+    done;
+    sv.(0) <- t.steps;
+    sv.(1) <- n;
+    sv.(2) <- B.to_int !finished;
+    sv.(3) <- nobj;
+    Objects.save t.prog_store sv 4;
+    s.Program.capture sv (4 + nobj + n);
+    sv
+
+let rewind t sv =
+  let s =
+    match t.saver with Some s -> s | None -> invalid_arg "Engine.rewind: run cannot be saved"
+  in
+  if not t.live then invalid_arg "Engine.rewind: run was stopped or taken over";
+  let steps = sv.(0) and n = sv.(1) and finished = B.unsafe_of_int sv.(2) and nobj = sv.(3) in
+  if steps > t.steps then invalid_arg "Engine.rewind: not a prefix of this run";
+  (* The per-run counters are sums over transitions: take the dropped
+     suffix back out of them instead of saving them. *)
+  for i = t.steps - 1 downto steps do
+    let e = Trace.get t.trace i in
+    (match e.Trace.op with
+     | Var_read _ | Var_write _ | Var_rmw _ -> t.var_ops <- t.var_ops - 1
+     | Choose _ -> ()
+     | _ -> t.sync_ops <- t.sync_ops - 1);
+    let k = Op.kind_index e.Trace.op in
+    t.op_counts.(k) <- t.op_counts.(k) - 1;
+    if i > 0 && (Trace.get t.trace (i - 1)).Trace.tid <> e.Trace.tid then
+      t.context_switches <- t.context_switches - 1
+  done;
+  t.last_stepped <- (if steps = 0 then -1 else (Trace.get t.trace (steps - 1)).Trace.tid);
+  Trace.truncate t.trace steps;
+  t.steps <- steps;
+  t.failure <- None;
+  Objects.restore t.prog_store sv 4 nobj;
+  (* Parked continuations are one-shot and belong to the abandoned suffix:
+     give every parked thread a fresh fiber that re-parks on its pending
+     operation. *)
+  let body = s.Program.resume sv (4 + nobj + n) in
+  for tid = 0 to t.nthreads - 1 do
+    t.threads.(tid) <- Finished
+  done;
+  t.nthreads <- n;
+  for tid = 0 to n - 1 do
+    if not (B.mem tid finished) then begin
+      t.threads.(tid) <- Running;
+      start_thread t tid (body tid)
+    end
+  done;
+  (* Re-parking counted the pending operation again. *)
+  Array.blit sv (4 + nobj) t.op_repeat 0 n
 
 let sync_ops t = t.sync_ops
 let var_ops t = t.var_ops

@@ -5,8 +5,9 @@
     the scheduler-facing view of the current state — the enabled set, each
     thread's pending operation, and [yield(t)]. The search layer (which owns
     the fair scheduler and the exploration strategy) decides which thread to
-    [step] next; backtracking is performed by discarding the run and starting
-    a new one ([start] is cheap relative to path length).
+    [step] next. Backtracking rewinds the run in place to a state saved on
+    the current path ({!save}, {!rewind}) when the program can be saved, and
+    otherwise discards the run and starts a new one that replays the prefix.
 
     Exactly one run may be active per domain (the engine keeps its ambient
     per-run context in domain-local state); the parallel search layer runs
@@ -101,6 +102,32 @@ val op_counts : t -> int array
 
 val context_switches : t -> int
 (** Transitions whose thread differs from the previous transition's. *)
+
+(** {1 Saving and rewinding} *)
+
+type saved
+(** A run's state between transitions, never modified once saved: the
+    program's user state (via its {!Program.saver}), the object store,
+    thread status, the per-thread control counters of {!state_signature},
+    and the step count. The trace and the per-run counters are not copied: a
+    rewind truncates them, since it only ever returns to a prefix of the
+    run. *)
+
+val saveable : t -> bool
+(** The program offers a saver, no observer is installed and no {!Svar}
+    contributes to the state signature. *)
+
+val save : t -> saved
+(** @raise Invalid_argument when not {!saveable} or the run has failed. *)
+
+val rewind : t -> saved -> unit
+(** Return the run to the state [save] recorded earlier on its current
+    path, as if the transitions since had never been taken: the trace is
+    truncated, {!op_counts}, {!sync_ops}, {!var_ops} and
+    {!context_switches} drop the abandoned transitions, and every parked
+    thread gets a fresh continuation at its pending operation. [saved] is
+    not consumed; a run can be rewound to it any number of times. The run
+    must still be live. *)
 
 val stop : t -> unit
 (** Mark the run as abandoned; parked continuations are dropped (they are

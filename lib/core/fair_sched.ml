@@ -69,11 +69,32 @@ let copy t =
     p = Array.copy t.p; e = Array.copy t.e; d = Array.copy t.d;
     s = Array.copy t.s; yc = Array.copy t.yc }
 
+(* Layout: n, k, then P, E, D, S and the yield counts, n ints each. *)
+let pack t =
+  let n = t.n in
+  let a = Array.make ((5 * n) + 2) 0 in
+  a.(0) <- n;
+  a.(1) <- t.k;
+  for u = 0 to n - 1 do
+    a.(2 + u) <- B.to_int t.p.(u);
+    a.(2 + n + u) <- B.to_int t.e.(u);
+    a.(2 + (2 * n) + u) <- B.to_int t.d.(u);
+    a.(2 + (3 * n) + u) <- B.to_int t.s.(u);
+    a.(2 + (4 * n) + u) <- t.yc.(u)
+  done;
+  a
+
+let unpack a =
+  let n = a.(0) in
+  let get f i = Array.init (max n 1) (fun u -> f (if u < n then a.(2 + (i * n) + u) else 0)) in
+  let set = get B.unsafe_of_int in
+  { n; k = a.(1); p = set 0; e = set 1; d = set 2; s = set 3; yc = get Fun.id 4 }
+
 (* Mutates [t] in place and returns it: the search holds a single scheduler
-   cell per execution ([fair := Fair_sched.step !fair ...]) and recomputes it
-   from scratch on every replay, so the previous value is always dead. Callers
-   that need the old state (tests, [Search.expand] frontier snapshots) take an
-   explicit [copy] first. *)
+   cell per execution ([fair := Fair_sched.step !fair ...]), so the previous
+   value is dead on the hot path. Callers that need an old state to survive
+   take an explicit [copy] first (tests), or [pack] it (the search's
+   backtracking snapshots, unpacked afresh by every rewind). *)
 let step ?obs t ~chosen ~yielded ~es_before ~es_after =
   if chosen < 0 || chosen >= t.n then invalid_arg "Fair_sched.step: bad tid";
   let p = t.p and e = t.e and d = t.d and s = t.s and yc = t.yc in

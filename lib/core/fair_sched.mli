@@ -43,6 +43,13 @@ val copy : t -> t
 (** A deep copy sharing no mutable arrays with the original: stepping one
     does not affect the other. *)
 
+val pack : t -> int array
+(** The whole state as one flat array ([5n + 2] ints): the cheap form of a
+    {!copy} that is kept for later rather than stepped. *)
+
+val unpack : int array -> t
+(** A fresh scheduler state equal to the one [pack] was given. *)
+
 val add_thread : t -> t
 (** Account for a dynamically spawned thread (CHESS supports programs that
     create threads mid-execution). The new thread's window is initialized

@@ -136,6 +136,20 @@ let holder t o =
   let s = expect t o Mutex "holder" in
   if s.count = -1 then None else Some s.count
 
+let length t = t.len
+
+let save t buf off =
+  for i = 0 to t.len - 1 do
+    buf.(off + i) <- t.slots.(i).count
+  done
+
+let restore t buf off n =
+  if n > t.len then invalid_arg "Objects.restore: store has fewer objects";
+  t.len <- n;
+  for i = 0 to n - 1 do
+    t.slots.(i).count <- buf.(off + i)
+  done
+
 let signature t h =
   let h = ref h in
   for i = 0 to t.len - 1 do

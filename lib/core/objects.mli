@@ -3,9 +3,9 @@
     The engine owns the *scheduling-relevant* state of every mutex,
     semaphore, and event so that it can decide [enabled(t)] for each parked
     thread; user data (queue contents etc.) stays in ordinary OCaml values on
-    the user side. A fresh store is created for every execution — stateless
-    search re-runs the program from scratch, so nothing here survives a
-    backtrack. *)
+    the user side. A fresh store is created for every execution that starts
+    from the initial state; a backtrack either discards it with the run or
+    rewinds it in place with {!restore}. *)
 
 type kind =
   | Mutex
@@ -52,6 +52,17 @@ val execute : t -> self:int -> Op.t -> bool
 
 val holder : t -> Op.obj -> int option
 (** Current owner of a mutex. *)
+
+val length : t -> int
+(** Objects registered so far. *)
+
+val save : t -> int array -> int -> unit
+(** [save t buf off] writes the state of every object into
+    [buf.(off) .. buf.(off + length t - 1)], for {!restore}. *)
+
+val restore : t -> int array -> int -> int -> unit
+(** [restore t buf off n] puts the first [n] objects back into the state
+    [save] wrote at [off] and drops the objects registered since. *)
 
 val signature : t -> Fairmc_util.Fnv.t -> Fairmc_util.Fnv.t
 (** Fold the scheduling-relevant state into a state-signature hash. *)

@@ -8,6 +8,21 @@ module AH = Analysis_hook
 
 type alt = { tid : int; alt : int; cost : int }
 
+(* Everything a rewind needs to resume the path at a frame's node, taken
+   just before the frame's decision is applied: the engine's state, the
+   fair scheduler, the path-local search registers, and the yields taken on
+   the path so far (a rewound execution still counts its whole length).
+   [crossed_db] and [rr_next] need no slot: no frame is pushed past the depth
+   bound, and round-robin is not systematic. *)
+type snap = {
+  sn_run : Engine.saved;
+  sn_fair : int array;  (* [Fair_sched.pack] *)
+  sn_budget : int;
+  sn_last : int;
+  sn_last_yielded : bool;
+  sn_yields : int;
+}
+
 type frame = {
   mutable chosen : alt;
   mutable rest : alt list;
@@ -19,6 +34,9 @@ type frame = {
       (* cumulative Estimator weight down to this frame: the ancestor product
          of [1/width], maintained at push so a completed path reads its leaf
          weight in O(1) *)
+  mutable snap : snap option;
+      (* kept while [rest <> []] and the run can be saved: backtracking here
+         rewinds to it instead of replaying the prefix *)
 }
 
 (* A locked scheduling decision handed to a parallel work item: the worker
@@ -52,7 +70,10 @@ type path_end =
    [None] and no registry exists (see DESIGN.md, "Observability"). *)
 type meters = {
   reg : M.t;
-  m_replay_steps : M.counter;  (* prefix decisions re-applied after backtrack *)
+  m_replay_steps : M.counter;  (* prefix decisions re-executed from the initial state *)
+  m_restored_steps : M.counter;
+      (* prefix decisions reached by a rewind: the restored prefix plus the
+         rewound frame's next alternative *)
   m_fresh_steps : M.counter;  (* new systematic decision points *)
   m_sampled_steps : M.counter;  (* random-walk / rr / prio / random-tail steps *)
   m_path_len : M.histogram;  (* steps per execution *)
@@ -64,16 +85,24 @@ type meters = {
   m_ops : M.counter array;  (* per Op.kind transition counts *)
   m_ctx_switches : M.counter;
   m_fair_obs : Fair_sched.obs;  (* priority-relation update accounting *)
-  m_span_replay : M.histogram;  (* per-path prefix-replay latency, µs *)
+  m_span_replay : M.histogram;  (* per-path prefix latency (replay or rewind), µs *)
   m_span_fresh : M.histogram;  (* per-path fresh-execution latency, µs *)
   m_span_analysis : M.histogram;  (* per-path analysis-observer latency, µs *)
   m_span_ckpt : M.histogram;  (* checkpoint-save latency, µs *)
+  mutable m_log : Bytes.t;
+      (* the current path's per-step observations, [log_stride] bytes per
+         step (see [log_set]), re-observed when a rewind restores the
+         prefix so that histograms count every execution in full; only
+         kept for runs that can be rewound *)
 }
+
+let log_stride = 7
 
 let make_meters () =
   let reg = M.create () in
   { reg;
     m_replay_steps = M.counter reg "search/steps/replay";
+    m_restored_steps = M.counter reg "search/steps/restored";
     m_fresh_steps = M.counter reg "search/steps/fresh";
     m_sampled_steps = M.counter reg "search/steps/sampled";
     m_path_len = M.histogram reg "search/path_length";
@@ -88,7 +117,18 @@ let make_meters () =
     m_span_replay = M.histogram reg (Obs.Span.hist_name "replay");
     m_span_fresh = M.histogram reg (Obs.Span.hist_name "fresh");
     m_span_analysis = M.histogram reg (Obs.Span.hist_name "analysis");
-    m_span_ckpt = M.histogram reg (Obs.Span.hist_name "checkpoint_save") }
+    m_span_ckpt = M.histogram reg (Obs.Span.hist_name "checkpoint_save");
+    m_log = Bytes.empty }
+
+(* Slot [i] of step [k] in the path log: 0 is |T| at the step, 1-3 the
+   chosen thread's E/D/S window sizes after it, 4-6 the priority-relation
+   counts it added to [m_fair_obs]. Each is at most the thread count, which
+   a bitset caps below 64, so a byte holds it. *)
+let log_set m k i v =
+  let j = (k * log_stride) + i in
+  if j >= Bytes.length m.m_log then
+    m.m_log <- Bytes.extend m.m_log 0 (max 1024 (2 * (j + log_stride)) - Bytes.length m.m_log);
+  Bytes.unsafe_set m.m_log j (Char.unsafe_chr v)
 
 (* Cumulative totals carried over from a checkpoint being resumed. The
    session itself counts from zero; the prior is folded in at every boundary
@@ -114,6 +154,8 @@ type state = {
   prog : Program.t;
   mutable frames : frame array;
   mutable nframes : int;
+  mutable run : Engine.t option;
+      (* the session's run, kept between paths while it can be rewound *)
   states : (int64, unit) Hashtbl.t;
   rng : Rng.t;
   t0 : float;
@@ -155,7 +197,8 @@ let dummy_frame =
     rest = [];
     sleep = B.empty;
     width = 1;
-    cum = Obs.Estimator.one }
+    cum = Obs.Estimator.one;
+    snap = None }
 
 let push_frame st fr =
   if st.nframes = Array.length st.frames then begin
@@ -268,13 +311,15 @@ let make_state ?(cancel = fun () -> false) ?deadline ?rng ?(prefix = [||])
           rest = [];
           sleep = p.p_sleep;
           width = p.p_width;
-          cum = !w })
+          cum = !w;
+          snap = None })
     prefix;
   let events = Option.map (fun s -> Obs.Events.buffer s ~shard) cfg.events in
   { cfg;
     prog;
     frames;
     nframes = nprefix;
+    run = None;
     states = Hashtbl.create 4096;
     rng = (match rng with Some r -> r | None -> Rng.make cfg.seed);
     t0 = Obs.Clock.now ();
@@ -309,6 +354,9 @@ let make_state ?(cancel = fun () -> false) ?deadline ?rng ?(prefix = [||])
     first_error_time = None;
     sync_ops_per_exec = 0;
     max_threads = 0 }
+
+(* [FAIRMC_DEBUG] set: trace every path end and sleep-set prune on stderr. *)
+let debug = Sys.getenv_opt "FAIRMC_DEBUG" <> None
 
 (* Debug/analysis hook: receives (signature, decision prefix) for every
    recorded state. Used by the coverage cross-checking tests (sequential
@@ -409,33 +457,103 @@ let render_cex ?(tail = false) st run =
   let rendered = Format.asprintf "@[<v>%a@]" (Trace.pp ?tail:tail_n ~names) tr in
   { Report.rendered; decisions = Trace.decisions tr; length = Trace.length tr }
 
-(* Execute one path: replay the frame prefix (systematic modes), then extend
-   with fresh decisions until the path ends. *)
+let release_run st =
+  match st.run with
+  | Some r ->
+    Engine.stop r;
+    st.run <- None
+  | None -> ()
+
+(* A rewind stands in for the executions' shared prefix: credit the
+   transitions, yields and per-step observations that re-executing it
+   would have counted, so every execution still counts in full. *)
+let credit_prefix st (sn : snap) ~steps:i =
+  st.transitions <- st.transitions + i;
+  st.yields <- st.yields + sn.sn_yields;
+  match st.meters with
+  | None -> ()
+  | Some m ->
+    M.add m.m_restored_steps i;
+    let fo = m.m_fair_obs in
+    for k = 0 to i - 1 do
+      let b = k * log_stride in
+      let l j = Char.code (Bytes.unsafe_get m.m_log (b + j)) in
+      M.observe m.m_sched_size (l 0);
+      if st.cfg.fair then begin
+        M.observe m.m_e_size (l 1);
+        M.observe m.m_d_size (l 2);
+        M.observe m.m_s_size (l 3);
+        fo.edges_added <- fo.edges_added + l 4;
+        fo.edges_removed <- fo.edges_removed + l 5;
+        fo.penalties <- fo.penalties + l 6
+      end
+    done
+
+(* Execute one path. Systematic modes first reach the top frame's node: by
+   rewinding the session's run to the frame's snapshot when it has one, or
+   else by starting a new run and replaying the frame prefix. Then the path
+   is extended with fresh decisions until it ends. *)
 let execute_path st ~systematic =
-  let run = Engine.start st.prog in
-  List.iter (fun (i : AH.instance) -> i.exec_start run) st.analysis;
-  Fun.protect ~finally:(fun () -> Engine.stop run) @@ fun () ->
   let cfg = st.cfg in
   let spans_on = Option.is_some st.meters || Option.is_some st.span_buf in
   let nframes0 = st.nframes in
   let t_path = Obs.Span.start () in
-  (* Set at the first non-replay decision: splits the path's wall time into
-     its replay and fresh segments. *)
+  (* Set at the first non-prefix decision: splits the path's wall time into
+     its replay (or rewind) and fresh segments. *)
   let t_fresh = ref None in
-  let fair = ref (Fair_sched.create ~nthreads:(Engine.nthreads run) ~k:cfg.fair_k ()) in
-  let budget = ref (match cfg.mode with C.Context_bounded c -> c | _ -> max_int) in
-  let last = ref (-1) in
-  let last_yielded = ref false in
-  let depth = ref 0 in
+  let top = if systematic && st.nframes > 0 then Some st.frames.(st.nframes - 1) else None in
+  let run, fair, budget, last, last_yielded, path_yields, rewound =
+    match (top, st.run) with
+    | Some ({ snap = Some sn; _ } as fr), Some run ->
+      Engine.rewind run sn.sn_run;
+      (* The last alternative: nothing comes back here. *)
+      if fr.rest = [] then fr.snap <- None;
+      credit_prefix st sn ~steps:(Engine.steps run);
+      ( run,
+        Fair_sched.unpack sn.sn_fair,
+        sn.sn_budget,
+        sn.sn_last,
+        sn.sn_last_yielded,
+        sn.sn_yields,
+        true )
+    | _ ->
+      release_run st;
+      let run = Engine.start st.prog in
+      st.run <- Some run;
+      List.iter (fun (i : AH.instance) -> i.exec_start run) st.analysis;
+      record_state st run;
+      ( run,
+        Fair_sched.create ~nthreads:(Engine.nthreads run) ~k:cfg.fair_k (),
+        (match cfg.mode with C.Context_bounded c -> c | _ -> max_int),
+        -1,
+        false,
+        0,
+        false )
+  in
+  let can_save = systematic && Engine.saveable run in
+  let fair = ref fair in
+  let budget = ref budget in
+  let last = ref last in
+  let last_yielded = ref last_yielded in
+  let path_yields = ref path_yields in
+  let depth = ref (if rewound then st.nframes - 1 else 0) in
   let crossed_db = ref false in
   let rr_next = ref 0 in
+  let snapshot () =
+    Some
+      { sn_run = Engine.save run;
+        sn_fair = Fair_sched.pack !fair;
+        sn_budget = !budget;
+        sn_last = !last;
+        sn_last_yielded = !last_yielded;
+        sn_yields = !path_yields }
+  in
   (* Sleep set of the next fresh node, computed when its parent's decision is
      applied (we need the parent state's pending operations). *)
   let pending_sleep = ref B.empty in
   let livelock_bound =
     if cfg.fair then Option.value cfg.livelock_bound ~default:cfg.max_steps else max_int
   in
-  record_state st run;
   let apply (a : alt) =
     if cfg.sleep_sets && systematic && !depth > 0 && !depth = st.nframes then begin
       (* The next node is fresh: derive its sleep set from this node's. *)
@@ -480,21 +598,34 @@ let execute_path st ~systematic =
     done;
     if cfg.fair then begin
       let es_after = Engine.enabled_set run in
-      (match st.meters with
-       | None -> fair := Fair_sched.step !fair ~chosen:a.tid ~yielded ~es_before ~es_after
-       | Some m ->
-         fair :=
-           Fair_sched.step ~obs:m.m_fair_obs !fair ~chosen:a.tid ~yielded ~es_before
-             ~es_after;
-         M.set_max m.m_pri_edges (Fair_sched.edge_count !fair);
-         let e, d, s = Fair_sched.sets !fair ~tid:a.tid in
-         M.observe m.m_e_size (B.cardinal e);
-         M.observe m.m_d_size (B.cardinal d);
-         M.observe m.m_s_size (B.cardinal s))
+      match st.meters with
+      | None -> fair := Fair_sched.step !fair ~chosen:a.tid ~yielded ~es_before ~es_after
+      | Some m ->
+        let fo = m.m_fair_obs in
+        let added = fo.edges_added and removed = fo.edges_removed and pens = fo.penalties in
+        fair := Fair_sched.step ~obs:fo !fair ~chosen:a.tid ~yielded ~es_before ~es_after;
+        M.set_max m.m_pri_edges (Fair_sched.edge_count !fair);
+        let e, d, s = Fair_sched.sets !fair ~tid:a.tid in
+        let e = B.cardinal e and d = B.cardinal d and s = B.cardinal s in
+        M.observe m.m_e_size e;
+        M.observe m.m_d_size d;
+        M.observe m.m_s_size s;
+        if can_save then begin
+          let k = Engine.steps run - 1 in
+          log_set m k 1 e;
+          log_set m k 2 d;
+          log_set m k 3 s;
+          log_set m k 4 (fo.edges_added - added);
+          log_set m k 5 (fo.edges_removed - removed);
+          log_set m k 6 (fo.penalties - pens)
+        end
     end;
     last := a.tid;
     last_yielded := yielded;
-    if yielded then st.yields <- st.yields + 1;
+    if yielded then begin
+      st.yields <- st.yields + 1;
+      incr path_yields
+    end;
     st.transitions <- st.transitions + 1;
     st.max_depth <- max st.max_depth (Engine.steps run);
     record_state st run
@@ -547,11 +678,20 @@ let execute_path st ~systematic =
             (* Theorem 3: T is empty iff ES is empty. *)
             assert (not (B.is_empty tset));
             (match st.meters with
-             | Some m -> M.observe m.m_sched_size (B.cardinal tset)
+             | Some m ->
+               let n = B.cardinal tset in
+               M.observe m.m_sched_size n;
+               if can_save then log_set m steps 0 n
              | None -> ());
             if systematic && !depth < st.nframes then begin
-              (match st.meters with Some m -> M.incr m.m_replay_steps | None -> ());
+              (match st.meters with
+               | Some m -> M.incr (if rewound then m.m_restored_steps else m.m_replay_steps)
+               | None -> ());
               let fr = st.frames.(!depth) in
+              (* Replaying a frame that still has alternatives (the first
+                 path of a resumed or parallel session): save its node. *)
+              if can_save && fr.rest <> [] && Option.is_none fr.snap then
+                fr.snap <- snapshot ();
               incr depth;
               apply fr.chosen;
               loop ()
@@ -594,7 +734,7 @@ let execute_path st ~systematic =
                 | [] ->
                   (* everything pruned by sleep sets *)
                   st.sleep_set_prunes <- st.sleep_set_prunes + 1;
-                  if Sys.getenv_opt "FAIRMC_DEBUG" <> None then
+                  if debug then
                     Format.eprintf
                       "PRUNE: depth=%d nframes=%d steps=%d tset=%a last=%d budget=%d@."
                       !depth st.nframes steps B.pp tset !last !budget;
@@ -609,7 +749,8 @@ let execute_path st ~systematic =
                       rest;
                       sleep = !pending_sleep;
                       width;
-                      cum = Obs.Estimator.descend (top_weight st) width };
+                      cum = Obs.Estimator.descend (top_weight st) width;
+                      snap = (if can_save && rest <> [] then snapshot () else None) };
                   incr depth;
                   apply a;
                   loop ()
@@ -620,7 +761,7 @@ let execute_path st ~systematic =
       end
   in
   let outcome = loop () in
-  if Sys.getenv_opt "FAIRMC_DEBUG" <> None then begin
+  if debug then begin
     let ends = match outcome with
       | P_terminated -> "term" | P_deadlock -> "dead" | P_safety _ -> "safe"
       | P_divergence _ -> "div" | P_nonterminating -> "nonterm" | P_pruned -> "pruned"
@@ -650,7 +791,13 @@ let execute_path st ~systematic =
   end;
   st.sync_ops_per_exec <- max st.sync_ops_per_exec (Engine.sync_ops run);
   st.max_threads <- max st.max_threads (Engine.nthreads run);
+  (* A run that cannot be rewound is done with; its trace and store stay
+     readable for the caller. *)
+  if not can_save then release_run st;
   (outcome, run)
+
+(* Run [f] with the session's run stopped on every exit. *)
+let with_run st f = Fun.protect ~finally:(fun () -> release_run st) f
 
 (* Advance the DFS to the next unexplored decision; false when exhausted.
    Prefix frames of a parallel work item have an empty [rest], so the walk
@@ -875,143 +1022,144 @@ let run_loop_body st =
     st.first_error_execution <- Some st.executions;
     st.first_error_time <- Some (elapsed st)
   in
-  while !verdict = None do
-    (* Path boundary: (re)capture the resume snapshot and do a throttled
-       checkpoint write. *)
-    (match st.ckpt with
-     | None -> ()
-     | Some ck ->
-       let b = capture_boundary st in
-       ck.ck_boundary <- Some b;
-       if Obs.Clock.now () -. ck.ck_last >= ck.ck_interval then
-         write_checkpoint st ck b ~complete:false);
-    (* Poll the wall clock and the peer-cancellation flag at every path
-       start, so short time budgets cannot overshoot by a whole path. *)
-    if poll st then begin
-      verdict := Some Report.Limits_reached;
-      stop_at := `Boundary
-    end
-    else begin
-      let outcome, run_ = execute_path st ~systematic in
-      st.executions <- st.executions + 1;
-      (match st.shared_execs with Some c -> Atomic.incr c | None -> ());
-      (* Knuth probe: this leaf's weight is the product of [1/width] over its
-         ancestor frames (systematic), or [1/budget] (sampling). Exact
-         fixed-point division, so the sum is jobs-deterministic. *)
-      let mass =
-        if systematic then top_weight st
-        else Obs.Estimator.descend Obs.Estimator.one st.probe_denom
-      in
-      st.probe_mass <- st.probe_mass + mass;
-      (match st.shared_mass with
-       | Some a -> ignore (Atomic.fetch_and_add a mass)
-       | None -> ());
-      (match st.meters with
+  with_run st (fun () ->
+    while !verdict = None do
+      (* Path boundary: (re)capture the resume snapshot and do a throttled
+         checkpoint write. *)
+      (match st.ckpt with
        | None -> ()
-       | Some m ->
-         let ops = Engine.op_counts run_ in
-         Array.iteri (fun k n -> if n > 0 then M.add m.m_ops.(k) n) ops;
-         M.add m.m_ctx_switches (Engine.context_switches run_);
-         M.observe m.m_path_len (Trace.length (Engine.trace run_)));
-      if st.analysis_us > 0 then begin
-        Obs.Span.record
-          ?hist:(Option.map (fun m -> m.m_span_analysis) st.meters)
-          ?events:st.span_buf ~phase:"analysis" ~dur_us:st.analysis_us ();
-        st.analysis_us <- 0
-      end;
-      (match st.events with
-       | None -> ()
-       | Some buf ->
-         let end_name, det =
-           match outcome with
-           | P_terminated -> ("terminated", true)
-           | P_deadlock -> ("deadlock", true)
-           | P_safety _ -> ("safety", true)
-           | P_divergence _ -> ("divergence", true)
-           | P_nonterminating -> ("nonterminating", true)
-           | P_pruned -> ("pruned", true)
-           | P_stopped -> ("stopped", false)
-           | P_frontier -> ("frontier", false)
-         in
-         let tr = Engine.trace run_ in
-         Obs.Events.emit_path buf ~det ~end_:end_name ~steps:(Trace.length tr)
-           ~schedule:(schedule_hash tr));
-      (match outcome with
-       | P_terminated | P_pruned -> ()
-       | P_frontier -> assert false  (* only produced under [expand] *)
-       | P_deadlock ->
-         mark_error ();
-         verdict := Some (Report.Deadlock { cex = render_cex st run_ })
-       | P_safety (tid, failure) ->
-         mark_error ();
-         verdict := Some (Report.Safety_violation { tid; failure; cex = render_cex st run_ })
-       | P_divergence kind ->
-         mark_error ();
-         verdict := Some (Report.Divergence { kind; cex = render_cex ~tail:true st run_ })
-       | P_nonterminating -> st.nonterminating <- st.nonterminating + 1
-       | P_stopped ->
-         verdict := Some Report.Limits_reached;
-         stop_at := `Mid_path);
-      (* An analysis-reported race ends the search like an engine-detected
-         error. An engine error on the same path takes precedence (both
-         rules are deterministic, so jobs=1 and jobs=N agree); a race beats
-         a mere budget stop. *)
-      (match !verdict with
-       | None | Some Report.Limits_reached ->
-         (match first_race_of st with
-          | Some race ->
-            mark_error ();
-            verdict :=
-              Some
-                (Report.Race
-                   { race;
-                     cex =
-                       { Report.rendered = race.AH.rendered;
-                         decisions = race.AH.decisions;
-                         length = race.AH.length } })
-          | None -> ())
-       | Some _ -> ());
-      if !verdict = None then begin
-        (match cfg.max_executions with
-         | Some m ->
-           let total =
-             match st.shared_execs with
-             | Some c -> Atomic.get c
-             | None -> st.executions
-           in
-           if total >= m then begin
-             verdict := Some Report.Limits_reached;
-             stop_at := `After_path
-           end
+       | Some ck ->
+         let b = capture_boundary st in
+         ck.ck_boundary <- Some b;
+         if Obs.Clock.now () -. ck.ck_last >= ck.ck_interval then
+           write_checkpoint st ck b ~complete:false);
+      (* Poll the wall clock and the peer-cancellation flag at every path
+         start, so short time budgets cannot overshoot by a whole path. *)
+      if poll st then begin
+        verdict := Some Report.Limits_reached;
+        stop_at := `Boundary
+      end
+      else begin
+        let outcome, run_ = execute_path st ~systematic in
+        st.executions <- st.executions + 1;
+        (match st.shared_execs with Some c -> Atomic.incr c | None -> ());
+        (* Knuth probe: this leaf's weight is the product of [1/width] over its
+           ancestor frames (systematic), or [1/budget] (sampling). Exact
+           fixed-point division, so the sum is jobs-deterministic. *)
+        let mass =
+          if systematic then top_weight st
+          else Obs.Estimator.descend Obs.Estimator.one st.probe_denom
+        in
+        st.probe_mass <- st.probe_mass + mass;
+        (match st.shared_mass with
+         | Some a -> ignore (Atomic.fetch_and_add a mass)
          | None -> ());
-        if !verdict = None && stopped st then begin
-          verdict := Some Report.Limits_reached;
-          stop_at := `After_path
-        end
-      end;
-      if !verdict = None then begin
-        if systematic then begin
-          if not (backtrack st) then verdict := Some Report.Verified
-        end
-        else if st.executions >= sampling_budget then begin
-          verdict := Some Report.Limits_reached;
-          stop_at := `After_path
-        end
-      end;
-      (* Path boundary: publish this path's event batch. The erroring
-         verdicts are themselves deterministic, so the error event is part
-         of the [det] slice. *)
-      (match (st.events, !verdict) with
-       | ( Some buf,
-           Some
-             (( Report.Safety_violation _ | Report.Deadlock _ | Report.Divergence _
-              | Report.Race _ ) as v) ) ->
-         Obs.Events.emit buf ~det:true ~kind:"error"
-           (J.Obj [ ("verdict", J.Str (Report.verdict_key v)) ])
-       | _ -> ());
-      match st.events with Some b -> Obs.Events.flush b | None -> ()
-    end
-  done;
+        (match st.meters with
+         | None -> ()
+         | Some m ->
+           let ops = Engine.op_counts run_ in
+           Array.iteri (fun k n -> if n > 0 then M.add m.m_ops.(k) n) ops;
+           M.add m.m_ctx_switches (Engine.context_switches run_);
+           M.observe m.m_path_len (Trace.length (Engine.trace run_)));
+        if st.analysis_us > 0 then begin
+          Obs.Span.record
+            ?hist:(Option.map (fun m -> m.m_span_analysis) st.meters)
+            ?events:st.span_buf ~phase:"analysis" ~dur_us:st.analysis_us ();
+          st.analysis_us <- 0
+        end;
+        (match st.events with
+         | None -> ()
+         | Some buf ->
+           let end_name, det =
+             match outcome with
+             | P_terminated -> ("terminated", true)
+             | P_deadlock -> ("deadlock", true)
+             | P_safety _ -> ("safety", true)
+             | P_divergence _ -> ("divergence", true)
+             | P_nonterminating -> ("nonterminating", true)
+             | P_pruned -> ("pruned", true)
+             | P_stopped -> ("stopped", false)
+             | P_frontier -> ("frontier", false)
+           in
+           let tr = Engine.trace run_ in
+           Obs.Events.emit_path buf ~det ~end_:end_name ~steps:(Trace.length tr)
+             ~schedule:(schedule_hash tr));
+        (match outcome with
+         | P_terminated | P_pruned -> ()
+         | P_frontier -> assert false  (* only produced under [expand] *)
+         | P_deadlock ->
+           mark_error ();
+           verdict := Some (Report.Deadlock { cex = render_cex st run_ })
+         | P_safety (tid, failure) ->
+           mark_error ();
+           verdict := Some (Report.Safety_violation { tid; failure; cex = render_cex st run_ })
+         | P_divergence kind ->
+           mark_error ();
+           verdict := Some (Report.Divergence { kind; cex = render_cex ~tail:true st run_ })
+         | P_nonterminating -> st.nonterminating <- st.nonterminating + 1
+         | P_stopped ->
+           verdict := Some Report.Limits_reached;
+           stop_at := `Mid_path);
+        (* An analysis-reported race ends the search like an engine-detected
+           error. An engine error on the same path takes precedence (both
+           rules are deterministic, so jobs=1 and jobs=N agree); a race beats
+           a mere budget stop. *)
+        (match !verdict with
+         | None | Some Report.Limits_reached ->
+           (match first_race_of st with
+            | Some race ->
+              mark_error ();
+              verdict :=
+                Some
+                  (Report.Race
+                     { race;
+                       cex =
+                         { Report.rendered = race.AH.rendered;
+                           decisions = race.AH.decisions;
+                           length = race.AH.length } })
+            | None -> ())
+         | Some _ -> ());
+        if !verdict = None then begin
+          (match cfg.max_executions with
+           | Some m ->
+             let total =
+               match st.shared_execs with
+               | Some c -> Atomic.get c
+               | None -> st.executions
+             in
+             if total >= m then begin
+               verdict := Some Report.Limits_reached;
+               stop_at := `After_path
+             end
+           | None -> ());
+          if !verdict = None && stopped st then begin
+            verdict := Some Report.Limits_reached;
+            stop_at := `After_path
+          end
+        end;
+        if !verdict = None then begin
+          if systematic then begin
+            if not (backtrack st) then verdict := Some Report.Verified
+          end
+          else if st.executions >= sampling_budget then begin
+            verdict := Some Report.Limits_reached;
+            stop_at := `After_path
+          end
+        end;
+        (* Path boundary: publish this path's event batch. The erroring
+           verdicts are themselves deterministic, so the error event is part
+           of the [det] slice. *)
+        (match (st.events, !verdict) with
+         | ( Some buf,
+             Some
+               (( Report.Safety_violation _ | Report.Deadlock _ | Report.Divergence _
+                | Report.Race _ ) as v) ) ->
+           Obs.Events.emit buf ~det:true ~kind:"error"
+             (J.Obj [ ("verdict", J.Str (Report.verdict_key v)) ])
+         | _ -> ());
+        match st.events with Some b -> Obs.Events.flush b | None -> ()
+      end
+    done);
   let final_verdict = Option.get !verdict in
   (* Final checkpoint flush. Where the resume should pick up depends on how
      the stop relates to the last boundary snapshot: a stop at the boundary
@@ -1187,7 +1335,8 @@ let run ?resume cfg prog =
                rest = List.map alt_of fr.Checkpoint.c_rest;
                sleep = fr.Checkpoint.c_sleep;
                width;
-               cum = Obs.Estimator.descend (top_weight st) width })
+               cum = Obs.Estimator.descend (top_weight st) width;
+               snap = None })
          sq.Checkpoint.sq_frames;
        (* Preload coverage so the union across sessions matches the
           uninterrupted run (recording is idempotent). *)
@@ -1252,35 +1401,36 @@ let expand ?deadline cfg prog ~split_depth =
   let items = ref [] in
   let timed_out = ref false in
   let continue_ = ref true in
-  while !continue_ do
-    if stopped st then begin
-      timed_out := true;
-      continue_ := false
-    end
-    else begin
-      let outcome, _ = execute_path st ~systematic:true in
-      let prefix =
-        Array.init st.nframes (fun i ->
-            let fr = st.frames.(i) in
-            { p_tid = fr.chosen.tid;
-              p_alt = fr.chosen.alt;
-              p_cost = fr.chosen.cost;
-              p_sleep = fr.sleep;
-              p_width = fr.width })
-      in
-      items := prefix :: !items;
-      match outcome with
-      | (P_safety _ | P_deadlock | P_divergence _) when not random_tail_active ->
-        (* Deterministic error below the split depth: the sequential DFS can
-           never get past it, so later units are unreachable. (With a random
-           tail the worker's re-roll may differ, so keep enumerating.) *)
-        continue_ := false
-      | P_stopped ->
+  with_run st (fun () ->
+    while !continue_ do
+      if stopped st then begin
         timed_out := true;
         continue_ := false
-      | _ -> if not (backtrack st) then continue_ := false
-    end
-  done;
+      end
+      else begin
+        let outcome, _ = execute_path st ~systematic:true in
+        let prefix =
+          Array.init st.nframes (fun i ->
+              let fr = st.frames.(i) in
+              { p_tid = fr.chosen.tid;
+                p_alt = fr.chosen.alt;
+                p_cost = fr.chosen.cost;
+                p_sleep = fr.sleep;
+                p_width = fr.width })
+        in
+        items := prefix :: !items;
+        match outcome with
+        | (P_safety _ | P_deadlock | P_divergence _) when not random_tail_active ->
+          (* Deterministic error below the split depth: the sequential DFS can
+             never get past it, so later units are unreachable. (With a random
+             tail the worker's re-roll may differ, so keep enumerating.) *)
+          continue_ := false
+        | P_stopped ->
+          timed_out := true;
+          continue_ := false
+        | _ -> if not (backtrack st) then continue_ := false
+      end
+    done);
   (List.rev !items, !timed_out)
 
 type replay_outcome =

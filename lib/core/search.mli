@@ -1,9 +1,12 @@
 (** The state-space explorer.
 
     Drives {!Engine} executions according to a {!Search_config}: systematic
-    modes (DFS, context-bounded) enumerate scheduling decisions depth-first
-    with stateless backtracking (each new path re-executes the program from
-    its initial state, replaying the decision prefix); sampling modes
+    modes (DFS, context-bounded) enumerate scheduling decisions depth-first.
+    A backtrack rewinds the run to the state saved at the frame it returns
+    to, when the program can be saved ({!Program.saver}: ChessLang on the
+    VM, without dynamic analyses); otherwise the new path re-executes the
+    program from its initial state, replaying the decision prefix. Reports
+    are identical either way. Sampling modes
     (random walk, round-robin, random-priority) run a fixed number of
     independent executions.
 
@@ -82,7 +85,7 @@ val expand :
     after [split_depth] fresh decisions. Every explored prefix — an internal
     frontier node or a complete shallow path — is returned as one work item,
     in DFS order. The expansion records no statistics and no coverage:
-    workers re-execute each item from the initial state, so their merged
+    workers re-execute each item's prefix from the initial state, so their merged
     statistics equal the sequential search's exactly. The boolean is true if
     [deadline] cut the expansion short. Enumeration stops early after a work
     item whose shallow outcome is a deterministic error (the sequential

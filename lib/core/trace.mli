@@ -21,6 +21,10 @@ type t
 val create : unit -> t
 val push : t -> event -> unit
 val length : t -> int
+
+val truncate : t -> int -> unit
+(** Keep the first [n] events (a rewound run's prefix). *)
+
 val get : t -> int -> event
 val events : t -> event list
 val last_n : t -> int -> event list

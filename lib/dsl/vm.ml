@@ -1,8 +1,9 @@
 (* Bytecode VM for ChessLang: the default execution backend.
 
-   Stateless model checking's hot path is re-execution — every backtracked
-   schedule replays the program from scratch — so per-step interpreter
-   cost multiplies through the whole search. This VM executes the flat
+   Every transition of the search runs here, so per-step interpreter cost
+   multiplies through the whole search. The VM also saves and resumes its
+   state ([Program.saver]), which lets the search rewind a run to a
+   backtracking point instead of re-executing the prefix. It executes the flat
    bytecode produced by [Compile]: a threaded [while]/[match] dispatch
    over an [int array], an [int array] operand stack, and flat per-thread
    frames (a single pc + an [int array] of local slots). No strings, no
@@ -18,7 +19,9 @@ module Fnv = Fairmc_util.Fnv
 module C = Compile
 
 (* Parked threads sit on a SCHED or HALT instruction with an empty operand
-   stack, so [cur_pc] + [locals] are the whole per-thread snapshot. *)
+   stack (SCHED opens a statement, so no expression is half-evaluated), so
+   [cur_pc] + [locals] are the whole per-thread state: the state signature
+   hashes them and the saver copies them. *)
 type tstate = {
   locals : int array;
   inited : bool array;
@@ -29,8 +32,11 @@ exception Vm_error of string * Ast.pos
 
 let rt_err pos fmt = Format.kasprintf (fun m -> raise (Vm_error (m, pos))) fmt
 
+(* [entry] is 0 for a thread's first run, or the SCHED it was parked on
+   when a saved run is resumed: the fiber re-performs that operation, parks
+   again, and carries on with the saved locals. *)
 let run_thread (c : C.t) (ops : Op.t array) (slots : int array) (tc : C.thread_code)
-    (ts : tstate) () =
+    (ts : tstate) ~entry () =
   let code = tc.C.t_code in
   let stack = Array.make (max tc.C.t_stack 1) 0 in
   let locals = ts.locals and inited = ts.inited in
@@ -38,7 +44,7 @@ let run_thread (c : C.t) (ops : Op.t array) (slots : int array) (tc : C.thread_c
   (* Instruction operands and stack offsets are compiler-validated, so the
      dispatch loop uses unchecked accesses. *)
   let arg i = Array.unsafe_get code i in
-  let pc = ref 0 in
+  let pc = ref entry in
   let sp = ref 0 in
   let fuel = ref Machine.silent_fuel in
   let afuel = ref 0 in
@@ -272,11 +278,48 @@ let boot (c : C.t) () =
       tstates;
     !h
   in
+  (* Saved state: the slots, then per thread its pc and (value, inited)
+     pairs for its locals. *)
+  let nslots = Array.length slots in
+  let words =
+    Array.fold_left (fun n (ts : tstate) -> n + 1 + (2 * Array.length ts.locals)) nslots tstates
+  in
+  let capture a off =
+    Array.blit slots 0 a off nslots;
+    let o = ref (off + nslots) in
+    Array.iter
+      (fun (ts : tstate) ->
+        a.(!o) <- ts.cur_pc;
+        Array.iteri
+          (fun j v ->
+            a.(!o + 1 + (2 * j)) <- v;
+            a.(!o + 2 + (2 * j)) <- Bool.to_int ts.inited.(j))
+          ts.locals;
+        o := !o + 1 + (2 * Array.length ts.locals))
+      tstates
+  in
+  let resume a off =
+    Array.blit a off slots 0 nslots;
+    let o = ref (off + nslots) in
+    Array.iter
+      (fun (ts : tstate) ->
+        ts.cur_pc <- a.(!o);
+        for j = 0 to Array.length ts.locals - 1 do
+          ts.locals.(j) <- a.(!o + 1 + (2 * j));
+          ts.inited.(j) <- a.(!o + 2 + (2 * j)) <> 0
+        done;
+        o := !o + 1 + (2 * Array.length ts.locals))
+      tstates;
+    fun tid ->
+      let ts = tstates.(tid) in
+      run_thread c ops slots c.C.c_threads.(tid) ts ~entry:ts.cur_pc
+  in
   let threads =
     Array.to_list
-      (Array.mapi (fun i tc -> run_thread c ops slots tc tstates.(i)) c.C.c_threads)
+      (Array.mapi (fun i tc -> run_thread c ops slots tc tstates.(i) ~entry:0) c.C.c_threads)
   in
-  ((slots, tstates), { Program.threads; snapshot = Some snapshot })
+  ( (slots, tstates),
+    { Program.threads; snapshot = Some snapshot; saver = Some { Program.words; capture; resume } } )
 
 let program_of (c : C.t) =
   Program.make ~name:c.C.c_name (fun () -> snd (boot c ()))

@@ -17,10 +17,12 @@
       bit-identical for every [jobs] value. Gauges record run-dependent
       facts (peaks, wall times) and merge by [max]. One documented
       exception: the step-classification counters
-      ["search/steps/replay"] / ["search/steps/fresh"] depend on how the
-      decision tree was sharded (a worker replays its locked prefix where
-      the sequential search made those decisions fresh) — only their sum is
-      invariant, and the jobs-determinism test folds them together.
+      ["search/steps/replay"] / ["search/steps/restored"] /
+      ["search/steps/fresh"] depend on how the decision tree was sharded
+      and on resumes (a worker or a resumed session replays its first
+      prefix, where the sequential search made those decisions fresh and
+      later rewound to them) — only their sum is invariant, and the
+      determinism tests fold them together.
 
     Naming convention: slash-separated lowercase paths, e.g.
     ["search/steps/replay"], ["sched/yields"], ["engine/op/lock"],

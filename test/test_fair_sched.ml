@@ -210,4 +210,23 @@ let qprops =
             List.for_all (fun (_, y) -> y <> 0) (FS.priority_pairs fs'))
           states) ]
 
-let suite = unit_tests @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops
+(* Kept after the properties so earlier test indices stay stable. *)
+let pack_tests =
+  [ Alcotest.test_case "pack/unpack round-trips" `Quick (fun () ->
+        List.iter
+          (fun fs ->
+            let a = FS.pack fs in
+            let fs' = FS.unpack a in
+            Alcotest.(check (array int)) "repacks identically" a (FS.pack fs');
+            Alcotest.(check (list (pair int int))) "same P" (FS.priority_pairs fs)
+              (FS.priority_pairs fs');
+            for tid = 0 to FS.nthreads fs - 1 do
+              let e, d, s = FS.sets fs ~tid and e', d', s' = FS.sets fs' ~tid in
+              Alcotest.check set "E" e e';
+              Alcotest.check set "D" d d';
+              Alcotest.check set "S" s s'
+            done)
+          (random_walk 7 40 3)) ]
+
+let suite =
+  unit_tests @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops @ pack_tests

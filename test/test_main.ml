@@ -11,6 +11,7 @@ let () =
       ("sync", Test_sync.suite);
       ("search", Test_search.suite);
       ("checkpoint", Test_checkpoint.suite);
+      ("rewind", Test_rewind.suite);
       ("par-search", Test_par_search.suite);
       ("supervisor", Test_supervisor.suite);
       ("serve", Test_serve.suite);

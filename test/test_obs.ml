@@ -227,15 +227,19 @@ let metrics_unit_tests =
 (* ------------------------------------------------------------------ *)
 (* Jobs-invariance of the deterministic counter slice.                 *)
 
-(* The replay/fresh split depends on how the tree was sharded (workers replay
-   their locked prefix); only the sum is invariant. Fold it before
-   comparing. *)
+(* The replay/restored/fresh split depends on how the tree was sharded
+   (workers replay their locked prefix, where the sequential search made
+   those decisions fresh and later rewound to them); only the sum is
+   invariant. Fold it before comparing. *)
 let folded_counters snap =
   let steps = ref 0 in
   let rest =
     List.filter
       (fun (name, v) ->
-        if name = "search/steps/replay" || name = "search/steps/fresh" then begin
+        if
+          name = "search/steps/replay" || name = "search/steps/restored"
+          || name = "search/steps/fresh"
+        then begin
           steps := !steps + v;
           false
         end
@@ -271,7 +275,16 @@ let determinism_tests =
     Alcotest.test_case "counters are jobs-invariant (sleep sets)" `Quick (fun () ->
         assert_counters_jobs_invariant "two-step-ss"
           { base with fair = false; sleep_sets = true }
-          (W.Litmus.two_step_threads ~nthreads:2 ~steps:3)) ]
+          (W.Litmus.two_step_threads ~nthreads:2 ~steps:3));
+    Alcotest.test_case "counters are jobs-invariant (ChessLang, rewinding)" `Quick
+      (fun () ->
+        (* Sequential paths rewind, while each work item replays its locked
+           prefix once and then rewinds inside its subtree. *)
+        match Test_static.fixture_dir "programs" with
+        | None -> ()
+        | Some dir ->
+          assert_counters_jobs_invariant "bounded-buffer" base
+            (Fairmc_static.load_file (Filename.concat dir "bounded_buffer.chess"))) ]
 
 (* ------------------------------------------------------------------ *)
 (* Progress callback.                                                  *)
