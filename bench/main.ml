@@ -454,15 +454,15 @@ let ablation () =
 (* Parallel search: executions/sec and speedup across worker counts.    *)
 
 let par () =
-  header "Parallel search: domain-sharded exploration (speedup vs jobs=1)";
+  header "Parallel search: the forked worker pool (speedup vs jobs=1)";
   line "(host reports %d core(s) available — near-linear speedup needs as many"
     (Domain.recommended_domain_count ());
-  line " cores as workers; on fewer cores the domains time-slice and speedup";
+  line " cores as workers; on fewer cores the workers time-slice and speedup";
   line " degrades to <= 1x while results stay identical/reproducible)";
   let jobs_list = [ 1; 2; 4; 8 ] in
   let experiments =
     [ (* Sampling: the embarrassingly-parallel case the paper's workloads
-         motivate — a fixed random-walk budget sharded across domains. *)
+         motivate — a fixed random-walk budget sharded across workers. *)
       ("random-walk dining-3",
        { Search_config.default with
          mode = Search_config.Random_walk 2_000;
@@ -489,8 +489,8 @@ let par () =
       List.iter
         (fun jobs ->
           (* Metrics on: the per-jobs records carry the merged snapshot, which
-             is how the shard/worker balance gauges get archived. *)
-          let r = Par_search.run { cfg with jobs; metrics = true } prog in
+             is how the pool gauges get archived. *)
+          let r = Checker.check ~config:{ cfg with jobs; metrics = true } prog in
           let rate = float_of_int r.stats.executions /. r.stats.elapsed in
           let speedup =
             match !base_rate with

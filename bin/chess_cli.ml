@@ -71,11 +71,15 @@ let coverage =
 
 let jobs =
   Arg.(value & opt int 1
-       & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for the parallel search: 1 (default) runs \
-                 sequentially, 0 uses all available cores. Systematic \
-                 strategies give identical results for every N; sampling \
-                 strategies are reproducible per (seed, N) pair.")
+       & info [ "j"; "jobs"; "workers" ] ~docv:"N"
+           ~doc:"Worker $(i,processes) for the parallel search: 1 (default) \
+                 runs sequentially in-process, 0 uses all available cores. \
+                 Systematic strategies give identical results for every N; \
+                 sampling strategies are reproducible per (seed, N) pair. \
+                 Each worker is a forked process, so a crash, OOM kill or \
+                 hang costs one work-item attempt — retried with backoff, \
+                 then quarantined as a $(i,crash) verdict — instead of the \
+                 whole search.")
 
 let split_depth =
   Arg.(value & opt int Search_config.default.split_depth
@@ -83,28 +87,17 @@ let split_depth =
            ~doc:"Parallel systematic search: expand the decision tree \
                  sequentially to depth N and hand each subtree to a worker.")
 
-let workers =
-  Arg.(value & opt int 1
-       & info [ "workers" ] ~docv:"N"
-           ~doc:"Supervised worker $(i,processes) for systematic strategies: \
-                 1 (default) stays in-process, 0 uses all available cores. \
-                 Each worker is a forked process, so a crash, OOM kill or \
-                 hang costs one work-item attempt — retried with backoff, \
-                 then quarantined as a $(i,crash) verdict — instead of the \
-                 whole search. With no injected faults the report is \
-                 identical to $(b,-j) N's.")
-
 let item_timeout =
   Arg.(value & opt (some float) None
        & info [ "item-timeout" ] ~docv:"SECONDS"
-           ~doc:"Supervised runs: wall-clock budget per work-item attempt; on \
+           ~doc:"Parallel runs: wall-clock budget per work-item attempt; on \
                  expiry the worker is SIGKILLed and the item requeued \
                  (counting against $(b,--max-retries)).")
 
 let max_retries =
   Arg.(value & opt int Search_config.default.max_retries
        & info [ "max-retries" ] ~docv:"N"
-           ~doc:"Supervised runs: how many times a work item is re-dispatched \
+           ~doc:"Parallel runs: how many times a work item is re-dispatched \
                  after a worker crash, timeout or protocol error before it is \
                  quarantined as a $(i,crash) verdict.")
 
@@ -148,7 +141,7 @@ let progress_flag =
 let progress_interval =
   Arg.(value & opt float 1.0
        & info [ "progress-interval" ] ~docv:"SECONDS"
-           ~doc:"Seconds between progress lines (shared across worker domains).")
+           ~doc:"Seconds between progress lines (search-wide).")
 
 let races_flag =
   Arg.(value & flag
@@ -282,7 +275,7 @@ let static_por_arg =
                  unaffected.")
 
 let build_config strategy no_fair fair_k depth_bound max_steps livelock_bound max_execs
-    time_limit seed sleep_sets coverage jobs split_depth workers item_timeout
+    time_limit seed sleep_sets coverage jobs split_depth item_timeout
     max_retries inject_fault metrics stats progress
     progress_interval races lockset lock_graph fail_on_race checkpoint
     checkpoint_interval interp static_por =
@@ -308,7 +301,6 @@ let build_config strategy no_fair fair_k depth_bound max_steps livelock_bound ma
     coverage;
     jobs;
     split_depth;
-    workers;
     item_timeout;
     max_retries;
     inject_fault;
@@ -324,7 +316,7 @@ let build_config strategy no_fair fair_k depth_bound max_steps livelock_bound ma
 let config_term =
   Term.(const build_config $ strategy $ no_fair $ fair_k $ depth_bound $ max_steps
         $ livelock_bound $ max_execs $ time_limit $ seed $ sleep_sets $ coverage
-        $ jobs $ split_depth $ workers $ item_timeout $ max_retries
+        $ jobs $ split_depth $ item_timeout $ max_retries
         $ inject_fault $ metrics_flag $ stats_flag $ progress_flag
         $ progress_interval $ races_flag $ lockset_flag $ lock_graph_flag
         $ fail_on_race $ checkpoint_out $ checkpoint_interval $ interp_arg

@@ -61,8 +61,8 @@ val snapshot_cex : Engine.t -> string * (int * int) list * int
 
 val dedup_edges : lock_edge list -> lock_edge list
 (** Sort by (from, to) object ids and drop duplicates — the canonical edge
-    set, identical however the edges were collected ({!Par_search} merges
-    shard graphs by recomputing this on the concatenation). *)
+    set, identical however the edges were collected ({!Supervisor} merges
+    work-item graphs by recomputing this on the concatenation). *)
 
 val cycles : lock_edge list -> (Op.obj * string) list list
 (** Strongly connected components with at least two locks, each sorted by

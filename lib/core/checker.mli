@@ -21,9 +21,9 @@
 
 val check : ?config:Search_config.t -> ?resume:Checkpoint.payload -> Program.t -> Report.t
 (** Run the search. Defaults to fair depth-first search. With
-    [config.workers > 1] the search runs under the supervised process pool
-    ({!Supervisor}); otherwise in-process ({!Par_search}, sharded over
-    [config.jobs] domains). [resume] continues a prior checkpointed
+    [config.jobs > 1] (or [config.workers > 1]) the search runs on the
+    pool of forked worker processes ({!Supervisor}); otherwise sequentially
+    in-process. [resume] continues a prior checkpointed
     session — obtain the payload from {!Checkpoint.load} +
     {!Checkpoint.plan_resume}; raises {!Checkpoint.Mismatch} if it does not
     fit the configuration. *)

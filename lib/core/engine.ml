@@ -65,20 +65,17 @@ type t = {
   mutable live : bool;
 }
 
-(* The active run is tracked per domain: the parallel search runs one engine
-   in each worker domain, and takeover/stop bookkeeping must not leak across
-   domains. *)
-let active_key : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-let active () = Domain.DLS.get active_key
+(* The active run of this process (parallel search forks a process per
+   worker, so there is never more than one engine to track). *)
+let active : t option ref = ref None
 
-(* The step observer is a per-domain cell, like [active]: the search layer
-   installs it around a whole search, every [start] on that domain captures
-   the current value into the run, and [step] pays one immediate branch when
-   it is unset (the zero-cost-when-off contract of the obs layer). *)
-let observer_key : observer option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+(* The step observer: the search layer installs it around a whole search,
+   every [start] captures the current value into the run, and [step] pays
+   one immediate branch when it is unset (the zero-cost-when-off contract of
+   the obs layer). *)
+let observer : observer option ref = ref None
 
-let set_observer f = Domain.DLS.get observer_key := f
+let set_observer f = observer := f
 
 let record_failure t tid f = if t.failure = None then t.failure <- Some (tid, f)
 
@@ -157,17 +154,16 @@ let add_thread t body =
   tid
 
 let start (prog : Program.t) =
-  let active = active () in
   (match !active with
    | Some prev when prev.live ->
-     (* A previous run that was not [stop]ped; take over, runs do not nest
-        (within a domain). *)
+     (* A previous run that was not [stop]ped; take over, runs do not
+        nest. *)
      prev.live <- false
    | _ -> ());
   let store = Objects.create () in
   let c = Runtime.reset store in
   let booted = prog.Program.boot () in
-  let obs = !(Domain.DLS.get observer_key) in
+  let obs = !observer in
   let t =
     { prog_store = store;
       obs;
@@ -412,7 +408,6 @@ let context_switches t = t.context_switches
 
 let stop t =
   t.live <- false;
-  let active = active () in
   match !active with
   | Some a when a == t -> active := None
   | _ -> ()

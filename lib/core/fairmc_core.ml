@@ -19,7 +19,6 @@ module Analysis_hook = Analysis_hook
 module Search_config = Search_config
 module Checkpoint = Checkpoint
 module Search = Search
-module Par_search = Par_search
 module Worker = Worker
 module Supervisor = Supervisor
 module Report = Report

@@ -12,7 +12,10 @@ type ctx = {
   regions : (int, int) Hashtbl.t;
 }
 
-let fresh () =
+(* One context per process: parallel search runs its workers as forked
+   processes, so exactly one of {engine, one thread} executes at any
+   instant. *)
+let the_ctx =
   { store = None;
     in_thread = false;
     current_tid = -1;
@@ -21,13 +24,7 @@ let fresh () =
     snapshotters = [];
     regions = Hashtbl.create 16 }
 
-(* One context per domain: the parallel search runs one engine per worker
-   domain, and each must see its own ambient state. Within a domain the old
-   single-run discipline still holds (exactly one of {engine, one thread}
-   executes at any instant). *)
-let key = Domain.DLS.new_key fresh
-
-let ctx () = Domain.DLS.get key
+let ctx () = the_ctx
 
 let get_store () =
   match (ctx ()).store with

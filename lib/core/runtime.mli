@@ -4,11 +4,11 @@
     {!extension-Sched} effect at every visible operation; the engine parks
     the continuation and later resumes it with the operation's result. The
     mutable context below carries side-band data (spawn bodies, results,
-    state-snapshot hooks) for the current execution. It is stored in
-    domain-local state: each domain runs at most one engine at a time, and
-    within a domain exactly one of {engine, one thread} executes at any
-    instant, so plain mutable fields are safe. The parallel search layer
-    ({!Par_search}) relies on this to run one engine per worker domain. *)
+    state-snapshot hooks) for the current execution. There is one context
+    per process: a process runs at most one engine at a time (parallel
+    search forks worker processes, see {!Supervisor}), and exactly one of
+    {engine, one thread} executes at any instant, so plain mutable fields
+    are safe. *)
 
 type _ Effect.t +=
   | Sched : Op.t -> int Effect.t
@@ -45,11 +45,11 @@ type ctx = {
 }
 
 val ctx : unit -> ctx
-(** The calling domain's context (created on first use). *)
+(** The process's context. *)
 
 val get_store : unit -> Objects.t
 (** @raise Failure outside [boot]/execution. *)
 
 val reset : Objects.t -> ctx
-(** Install a fresh store in the calling domain's context, clear all
-    side-band state, and return the context (engine use). *)
+(** Install a fresh store in the context, clear all side-band state, and
+    return the context (engine use). *)

@@ -6,6 +6,50 @@ module Obs = Fairmc_obs
 module M = Fairmc_obs.Metrics
 module AH = Analysis_hook
 
+(* The execution budget ([max_executions]): the one place that decides
+   whether another path may start. Slot [i] counts the paths completed by
+   worker [i]; the budget is spent when the slots sum to the limit. A
+   sequential search uses one private slot. A parallel search maps the
+   slots into a page shared with its forked workers (a temp file, unlinked
+   at once): each worker adds to its own slot at path end and reads the sum
+   at path start, so at most one in-flight path per worker runs past the
+   limit. *)
+module Budget = struct
+  type cells = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+  type t = { limit : int; cells : cells; slot : int }
+
+  let shared_cells slots : cells =
+    let path = Filename.temp_file "fairmc-budget" ".page" in
+    let fd = Unix.openfile path [ Unix.O_RDWR ] 0o600 in
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close fd;
+        Sys.remove path)
+      (fun () ->
+        Bigarray.array1_of_genarray
+          (Unix.map_file fd Bigarray.int Bigarray.c_layout true [| slots |]))
+
+  let create ?(shared = false) ~slots limit =
+    let cells =
+      if shared then shared_cells slots
+      else Bigarray.Array1.create Bigarray.int Bigarray.c_layout slots
+    in
+    Bigarray.Array1.fill cells 0;
+    { limit; cells; slot = 0 }
+
+  let slot t i = { t with slot = i }
+  let count t = t.cells.{t.slot}
+  let add t n = t.cells.{t.slot} <- count t + n
+
+  let spent t =
+    let used = ref 0 in
+    for i = 0 to Bigarray.Array1.dim t.cells - 1 do
+      used := !used + t.cells.{i}
+    done;
+    !used >= t.limit
+end
+
 type alt = { tid : int; alt : int; cost : int }
 
 (* Everything a rewind needs to resume the path at a frame's node, taken
@@ -61,7 +105,7 @@ type path_end =
   | P_divergence of Report.divergence_kind
   | P_nonterminating  (* hit the hard step cap *)
   | P_pruned  (* depth bound without random tail, or CB/sleep-set pruning *)
-  | P_stopped  (* wall-clock budget exhausted or cancelled by a peer *)
+  | P_stopped  (* wall-clock budget exhausted or interrupted *)
   | P_frontier  (* parallel expansion: the split depth was reached *)
 
 (* Pre-registered instruments: registered once per search (or shard), so hot
@@ -161,9 +205,7 @@ type state = {
   t0 : float;
   deadline : float;  (* absolute; [infinity] when unlimited *)
   poll_mask : int;
-  cancel : unit -> bool;
-  shared_execs : int Atomic.t option;  (* cross-domain execution counter *)
-  shared_mass : int Atomic.t option;  (* cross-domain Estimator probe mass *)
+  budget : Budget.t option;  (* [max_executions]; [None] when unlimited *)
   frontier_at : int;  (* cut fresh decisions at this depth; [max_int] = never *)
   probe_denom : int;  (* sampling: original (unsharded) budget; 0 = systematic *)
   meters : meters option;
@@ -220,26 +262,20 @@ let elapsed st = Obs.Clock.elapsed ~since:st.t0
 
 let out_of_time st = Obs.Clock.now () > st.deadline
 
-(* Cancellation (parallel first-error-wins) and the process-wide graceful
-   interrupt (SIGINT/SIGTERM via Checkpoint) are folded into the same poll. *)
-let stopped st = out_of_time st || st.cancel () || Checkpoint.interrupted ()
+(* The wall clock and the process-wide graceful interrupt (SIGINT/SIGTERM
+   via Checkpoint) are folded into the same poll. *)
+let stopped st = out_of_time st || Checkpoint.interrupted ()
 
-(* Search-wide totals for a progress sample: the shared cross-domain atomics
-   under parallel search, this session's counters plus any resumed prior
-   otherwise. *)
+let budget_spent st = match st.budget with Some b -> Budget.spent b | None -> false
+
+(* Search-wide totals for a progress sample: this session's counters plus
+   any resumed prior. *)
 let progress_totals st =
-  let prior_execs, prior_mass =
-    match st.prior with
-    | Some p -> (p.pr_stats.Report.executions, p.pr_stats.Report.probe_mass)
-    | None -> (0, 0)
-  in
-  let executions =
-    match st.shared_execs with Some c -> Atomic.get c | None -> st.executions + prior_execs
-  in
-  let mass =
-    match st.shared_mass with Some a -> Atomic.get a | None -> st.probe_mass + prior_mass
-  in
-  (executions, mass)
+  match st.prior with
+  | Some p ->
+    ( st.executions + p.pr_stats.Report.executions,
+      st.probe_mass + p.pr_stats.Report.probe_mass )
+  | None -> (st.executions, st.probe_mass)
 
 let progress_sample st () =
   let executions, mass = progress_totals st in
@@ -258,14 +294,13 @@ let maybe_tick st =
   | Some p -> Obs.Progress.tick p (progress_sample st)
 
 (* Poll points share one clock read: tick the progress reporter, then check
-   the deadline and the peer-cancellation flag. *)
+   the deadline and the interrupt flag. *)
 let poll st =
   maybe_tick st;
   stopped st
 
 (* The sinks of a search's progress reporter; [None] when progress reporting
-   is off. The parallel search builds this once and shares it across shards
-   so the emission throttle is search-wide. *)
+   is off. *)
 let progress_of_cfg (cfg : C.t) =
   let sinks =
     (if cfg.C.progress then [ Obs.Progress.stderr_sink ] else [])
@@ -280,18 +315,17 @@ let mask_of_interval n =
   go 1
 
 (* Sampling modes weigh every execution [1/original-budget]; parallel shards
-   carry shrunk budgets in their own [cfg], so Par_search passes the original
-   explicitly via [?probe_denom]. Systematic modes use 0: leaf weights come
-   from the frame widths instead. *)
+   carry shrunk budgets in their own [cfg], so the supervisor passes the
+   original explicitly via [?probe_denom]. Systematic modes use 0: leaf
+   weights come from the frame widths instead. *)
 let default_probe_denom (cfg : C.t) =
   match cfg.C.mode with
   | C.Dfs | C.Context_bounded _ -> 0
   | C.Random_walk n | C.Priority_random n -> max 1 n
   | C.Round_robin -> 1
 
-let make_state ?(cancel = fun () -> false) ?deadline ?rng ?(prefix = [||])
-    ?shared_execs ?shared_mass ?probe_denom ?(frontier_at = max_int) ?(shard = 0)
-    ?progress (cfg : C.t) prog =
+let make_state ?deadline ?rng ?(prefix = [||]) ?budget ?probe_denom
+    ?(frontier_at = max_int) ?(shard = 0) ?progress (cfg : C.t) prog =
   let deadline =
     match deadline with
     | Some d -> d
@@ -325,9 +359,10 @@ let make_state ?(cancel = fun () -> false) ?deadline ?rng ?(prefix = [||])
     t0 = Obs.Clock.now ();
     deadline;
     poll_mask = mask_of_interval cfg.poll_interval;
-    cancel;
-    shared_execs;
-    shared_mass;
+    budget =
+      (match budget with
+       | Some _ -> budget
+       | None -> Option.map (Budget.create ~slots:1) cfg.max_executions);
     frontier_at;
     probe_denom = (match probe_denom with Some d -> d | None -> default_probe_denom cfg);
     meters = (if cfg.metrics then Some (make_meters ()) else None);
@@ -1033,16 +1068,17 @@ let run_loop_body st =
          ck.ck_boundary <- Some b;
          if Obs.Clock.now () -. ck.ck_last >= ck.ck_interval then
            write_checkpoint st ck b ~complete:false);
-      (* Poll the wall clock and the peer-cancellation flag at every path
-         start, so short time budgets cannot overshoot by a whole path. *)
-      if poll st then begin
+      (* Poll the wall clock, the interrupt flag and the execution budget at
+         every path start, so short time budgets cannot overshoot by a whole
+         path and a worker never starts a path its peers already used up. *)
+      if poll st || budget_spent st then begin
         verdict := Some Report.Limits_reached;
         stop_at := `Boundary
       end
       else begin
         let outcome, run_ = execute_path st ~systematic in
         st.executions <- st.executions + 1;
-        (match st.shared_execs with Some c -> Atomic.incr c | None -> ());
+        (match st.budget with Some b -> Budget.add b 1 | None -> ());
         (* Knuth probe: this leaf's weight is the product of [1/width] over its
            ancestor frames (systematic), or [1/budget] (sampling). Exact
            fixed-point division, so the sum is jobs-deterministic. *)
@@ -1051,9 +1087,6 @@ let run_loop_body st =
           else Obs.Estimator.descend Obs.Estimator.one st.probe_denom
         in
         st.probe_mass <- st.probe_mass + mass;
-        (match st.shared_mass with
-         | Some a -> ignore (Atomic.fetch_and_add a mass)
-         | None -> ());
         (match st.meters with
          | None -> ()
          | Some m ->
@@ -1119,23 +1152,9 @@ let run_loop_body st =
                            length = race.AH.length } })
             | None -> ())
          | Some _ -> ());
-        if !verdict = None then begin
-          (match cfg.max_executions with
-           | Some m ->
-             let total =
-               match st.shared_execs with
-               | Some c -> Atomic.get c
-               | None -> st.executions
-             in
-             if total >= m then begin
-               verdict := Some Report.Limits_reached;
-               stop_at := `After_path
-             end
-           | None -> ());
-          if !verdict = None && stopped st then begin
-            verdict := Some Report.Limits_reached;
-            stop_at := `After_path
-          end
+        if !verdict = None && (budget_spent st || stopped st) then begin
+          verdict := Some Report.Limits_reached;
+          stop_at := `After_path
         end;
         if !verdict = None then begin
           if systematic then begin
@@ -1194,9 +1213,9 @@ let run_loop_body st =
   let stats, metrics, analysis = totals st in
   { Report.verdict = final_verdict; stats; metrics; analysis }
 
-(* Install the shard's analysis instances as the domain's step observer for
+(* Install the shard's analysis instances as the engine's step observer for
    the duration of the loop. Cleared on every exit path: a leaked observer
-   would bill later searches on this domain to these instances. *)
+   would bill later searches to these instances. *)
 let run_loop st =
   match st.analysis with
   | [] -> run_loop_body st
@@ -1250,7 +1269,7 @@ let adjust_budgets (cfg : C.t) prior_execs =
   let max_executions = Option.map (fun m -> clamp (m - prior_execs)) cfg.max_executions in
   { cfg with C.mode; max_executions }
 
-(* Coordinator lifecycle events, shared with Par_search. [run_start]'s data
+(* Coordinator lifecycle events, shared with Supervisor. [run_start]'s data
    deliberately excludes [jobs] and budget fields: the det slice must be
    identical between a jobs=1 and a jobs=4 run of the same search. *)
 let post_run_start (cfg : C.t) (prog : Program.t) =
@@ -1364,12 +1383,10 @@ let run ?resume cfg prog =
 (* One shard of a parallel search: either a sampling worker (custom [rng]
    stream, sharded budget already folded into [cfg]) or a systematic work
    item (locked [prefix]). Returns the coverage table alongside the report so
-   Par_search can union tables rather than summing cardinalities. *)
-let run_shard ?cancel ?deadline ?rng ?prefix ?shared_execs ?shared_mass ?probe_denom
-    ?shard ?progress cfg prog =
+   the supervisor can union tables rather than summing cardinalities. *)
+let run_shard ?deadline ?rng ?prefix ?budget ?probe_denom ?shard ?progress cfg prog =
   let st =
-    make_state ?cancel ?deadline ?rng ?prefix ?shared_execs ?shared_mass ?probe_denom
-      ?shard ?progress cfg prog
+    make_state ?deadline ?rng ?prefix ?budget ?probe_denom ?shard ?progress cfg prog
   in
   (run_loop st, st.states)
 

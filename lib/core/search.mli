@@ -56,9 +56,36 @@ val replay : Program.t -> (int * int) list -> (Engine.t -> unit) -> replay_outco
 
 (** {1 Parallel-search seam}
 
-    The entry points below are consumed by {!Par_search}; they are exposed
+    The entry points below are consumed by {!Supervisor}; they are exposed
     here because the work-item representation is owned by the search (it is
     a snapshot of its DFS stack). *)
+
+(** The execution budget ([config.max_executions]): the one place that
+    decides whether another path may start. It holds one counter slot per
+    worker; the budget is spent once the slots sum to the limit. A search
+    checks {!spent} before every path and adds each completed path to its
+    own slot, so [n] workers sharing a budget overshoot it by at most [n]
+    paths. *)
+module Budget : sig
+  type t
+
+  val create : ?shared:bool -> slots:int -> int -> t
+  (** [create ~slots limit], all slots zero, viewing slot 0. With
+      [~shared:true] the slots live in a [MAP_SHARED] page that processes
+      forked afterwards share with the caller. *)
+
+  val slot : t -> int -> t
+  (** The same budget, viewing slot [i] (which {!add} writes to). *)
+
+  val count : t -> int
+  (** This view's slot. *)
+
+  val add : t -> int -> unit
+  (** Add to this view's slot (a negative amount takes work back). *)
+
+  val spent : t -> bool
+  (** The slots sum to at least the limit. *)
+end
 
 type pdecision = {
   p_tid : int;
@@ -94,9 +121,7 @@ val expand :
 
 val progress_of_cfg : Search_config.t -> Fairmc_obs.Progress.t option
 (** Build the progress reporter requested by the config ([progress] flag and
-    [on_progress] callback), or [None] if neither is set. {!Par_search}
-    creates one and shares it across all worker shards so the interval
-    throttle is search-wide. *)
+    [on_progress] callback), or [None] if neither is set. *)
 
 val post_run_start : Search_config.t -> Program.t -> unit
 (** Emit the coordinator [run_start] telemetry event (no-op without
@@ -109,12 +134,10 @@ val post_run_end : Search_config.t -> Report.t -> unit
     searches that reached a verdict. *)
 
 val run_shard :
-  ?cancel:(unit -> bool) ->
   ?deadline:float ->
   ?rng:Fairmc_util.Rng.t ->
   ?prefix:pdecision array ->
-  ?shared_execs:int Atomic.t ->
-  ?shared_mass:int Atomic.t ->
+  ?budget:Budget.t ->
   ?probe_denom:int ->
   ?shard:int ->
   ?progress:Fairmc_obs.Progress.t ->
@@ -123,15 +146,11 @@ val run_shard :
   Report.t * (int64, unit) Hashtbl.t
 (** One shard of a parallel search: a systematic work item (locked
     [prefix]; backtracking never leaves its subtree) or a sampling worker
-    (private [rng] stream, budget pre-sharded in the config). [cancel] is
-    polled together with the wall clock — at every path start and every
-    [poll_interval] steps within a path — and ends the shard with
-    [Limits_reached]. [deadline] overrides the config's relative
-    [time_limit] with an absolute timestamp shared by all shards.
-    [shared_execs] is incremented per completed path and used (instead of
-    the local count) to enforce [max_executions] across shards;
-    [shared_mass] likewise accumulates the search-wide estimator probe mass
-    for live progress estimates. [probe_denom] is the {e original}
+    (private [rng] stream, budget pre-sharded in the config). [deadline]
+    overrides the config's relative [time_limit] with an absolute timestamp
+    shared by all shards. [budget] replaces the private budget built from
+    [max_executions], so that all shards draw on one count (the caller
+    views it at the shard's own slot). [probe_denom] is the {e original}
     (unsharded) sampling budget — shard configs carry shrunk budgets, and
     every sampled path must weigh [1/original]. [shard] tags the worker's
     telemetry events ([config.events]). Returns the report together with the

@@ -74,13 +74,16 @@ type t = {
   coverage : bool;  (** record distinct state signatures *)
   verbose : bool;
   jobs : int;
-      (** worker domains for {!Par_search}: 1 runs the sequential search,
-          [n > 1] runs [n] domains, [0] (or negative) uses
-          [Domain.recommended_domain_count ()] *)
+      (** parallel search: the size of {!Supervisor}'s pool of forked worker
+          processes. 1 runs the sequential search in-process, [n > 1] forks
+          [n] workers, [0] (or negative) uses one per core
+          ([Domain.recommended_domain_count ()]). The pool size is
+          [max jobs workers]. *)
   split_depth : int;
       (** parallel systematic search: the decision tree is expanded
           sequentially to this depth and each frontier prefix becomes an
-          independent work item (see DESIGN.md, "Parallel search") *)
+          independent work item (see DESIGN.md, "Parallel search and
+          supervision") *)
   poll_interval : int;
       (** steps between wall-clock/cancellation polls inside an execution
           (rounded up to a power of two); small values tighten [time_limit]
@@ -91,12 +94,12 @@ type t = {
           branch per site (see DESIGN.md, "Observability"). *)
   progress : bool;  (** emit a periodic progress line on stderr *)
   progress_interval : float;
-      (** seconds between progress emissions (shared across worker domains);
-          0 emits at every poll point *)
+      (** seconds between progress emissions; 0 emits at every poll point
+          (under parallel search: at every completed work item) *)
   on_progress : (Fairmc_obs.Progress.sample -> unit) option;
       (** user callback, driven by the same poll points as [progress]. Under
-          parallel search it is invoked from worker domains (at most one
-          emission per interval search-wide) and must be thread-safe. *)
+          parallel search it is invoked in the pool's parent process as work
+          items complete. *)
   events : Fairmc_obs.Events.stream option;
       (** telemetry event stream (schema [fairmc-events/1]): run/path/error/
           checkpoint lifecycle events plus advisory span and estimate
@@ -131,18 +134,14 @@ type t = {
           ignore it. Recorded in checkpoint fingerprints: merging changes
           the tree shape, so a session must resume with the same setting. *)
   workers : int;
-      (** supervised worker {e processes} for {!Supervisor}: 1 (default)
-          keeps everything in-process ({!Par_search} handles [jobs]),
-          [n > 1] forks [n] crash-isolated workers, [0] (or negative) uses
-          [Domain.recommended_domain_count ()]. With no injected faults a
-          supervised systematic run reports bit-identically to the
-          in-domain [jobs = n] run. *)
+      (** another name for the pool size, resolved like [jobs]: the pool
+          has [max jobs workers] workers. Default 1. *)
   item_timeout : float option;
-      (** supervised runs: wall-clock budget per work-item attempt; on
+      (** parallel runs: wall-clock budget per work-item attempt; on
           expiry the worker is SIGKILLed and the item requeued (counting
           against [max_retries]). [None] (default) never times out. *)
   max_retries : int;
-      (** supervised runs: how many times a work item is re-dispatched after
+      (** parallel runs: how many times a work item is re-dispatched after
           a worker crash/timeout/protocol error before it is quarantined as
           a {!Report.Crash} verdict. Default 2. *)
   inject_fault : fault option;

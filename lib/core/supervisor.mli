@@ -1,12 +1,24 @@
-(** Supervised process-level worker pool: crash-isolated parallel search.
+(** The parallel executor: a supervised pool of forked worker processes.
 
-    Executes the same verified work items as {!Par_search}'s systematic
-    backend — the same {!Search.expand} frontier, per-item RNG streams,
-    min-index error resolution, merge ({!Par_search.finalize_systematic})
-    and durable checkpoint ({!Par_search.parck_note}) — but in forked worker
-    {e processes} speaking the {!Worker} pipe protocol, so a worker that
-    segfaults, is OOM-killed or wedges costs one work-item attempt instead
-    of the whole search. Policies:
+    Stateless model checking re-executes the program from its initial state
+    for every schedule, so executions are independent and the schedule space
+    shards into work items:
+
+    - {b Systematic modes} (DFS, context-bounded): the decision tree is
+      expanded sequentially to [config.split_depth] ({!Search.expand}) and
+      each prefix becomes one work item. The merged report is {e exactly}
+      the sequential one — same verdict, counterexample and
+      execution/transition/coverage counts — independent of the pool size
+      and of timing: errors resolve by the lowest item index in DFS order.
+    - {b Sampling modes} (random walk, random priorities): one item per
+      shard, with its share of the sample budget and its own RNG stream
+      split off [config.seed]. The verdict and counterexample are
+      reproducible for a fixed (seed, jobs) pair; statistics of shards
+      above the winning one may vary between runs.
+
+    Both kinds run in forked worker {e processes} speaking the {!Worker}
+    pipe protocol, so a worker that segfaults, is OOM-killed or wedges costs
+    one work-item attempt instead of the whole search. Policies:
 
     - {b Timeouts}: [config.item_timeout] bounds each attempt's wall clock;
       on expiry the worker is SIGKILLed and the item requeued. The child's
@@ -18,39 +30,39 @@
       (seed, item, attempt)), at most [config.max_retries] times.
     - {b Quarantine}: an item that exhausts its retry budget becomes a
       {!Report.Crash} verdict whose counterexample is the item's schedule
-      prefix, replayable to re-enter the crashing subtree.
-    - {b Degradation}: when forking is unavailable the search falls back to
-      the in-domain backend ({!Par_search.run} with [jobs = workers]); when
+      prefix (empty for a sampling shard).
+    - {b Budgets}: [time_limit] is one absolute deadline for the whole run;
+      [max_executions] is one {!Search.Budget} shared with the workers, so
+      a budgeted run executes at most [max_executions + jobs] paths. When
       every worker slot dies unrecoverably mid-run, the remaining items
       finish in-process.
-    - {b Checkpoints}: the supervised run shares the in-domain backend's
-      [fairmc-ckpt/1] Par payload, so an interrupted session can resume
-      under either backend.
+    - {b Checkpoints}: systematic runs record every fully explored item in
+      a [fairmc-ckpt/1] Par payload; sampling runs record their aggregate
+      once per session (Par_sampling). A failed write warns on stderr,
+      posts a [checkpoint_error] event and keeps the previous file.
 
-    With no injected faults, a supervised systematic run reports
-    bit-identically (verdict, counterexample, merged statistics, det event
-    slice) to the in-domain [jobs = n] run. Deterministic fault injection
-    ([config.inject_fault]) fires exactly once, on the first attempt of item
-    [fault_seed mod n_items]; retries are fault-free, so injected faults
-    leave the verdict unchanged (except with a zero retry budget, which
-    surfaces the {!Report.Crash}). See DESIGN.md, "Supervision". *)
+    Deterministic fault injection ([config.inject_fault]) fires exactly
+    once, on the first attempt of item [fault_seed mod n_items]; retries
+    are fault-free, so injected faults leave the report unchanged (except
+    with a zero retry budget, which surfaces the {!Report.Crash}). See
+    DESIGN.md, "Parallel search and supervision". *)
 
-val resolve_workers : Search_config.t -> int
-(** [config.workers], with [0] and negative values resolved to
+val pool_size : Search_config.t -> int
+(** [max jobs workers], each with [0] and negative values resolved to
     [Domain.recommended_domain_count ()]. *)
 
-val forking_available : bool
-(** Static platform gate ([not Sys.win32]). *)
-
 val can_fork : unit -> bool
-(** Dynamic probe: fork a trivial child and reap it. [false] means the
-    dispatcher degrades to the in-domain backend. *)
+(** Probe: fork a trivial child and reap it. [false] on Windows and in a
+    process that has created a domain (OCaml 5 then forbids fork). *)
 
 val run : ?resume:Checkpoint.payload -> Search_config.t -> Program.t -> Report.t
-(** Run the configured search. With [resolve_workers config <= 1] this is
-    exactly {!Par_search.run} (no supervision layer). Otherwise systematic
-    modes run under the supervised pool; sampling modes (and round-robin)
-    run on in-process domains with [jobs] raised to the worker count —
-    crash isolation buys nothing for cheap independent samples. [resume]
-    follows {!Par_search.run}'s contract; a payload that does not fit the
-    run shape raises {!Checkpoint.Mismatch}. *)
+(** Run the configured search. With [pool_size config <= 1] (and for
+    round-robin, a single schedule) this is {!Search.run}; otherwise the
+    worker pool runs it.
+
+    [resume] continues a prior checkpointed session (see {!Checkpoint} and
+    DESIGN.md, "Durable sessions"). The payload kind must fit the run shape:
+    [Seq] for sequential runs, [Par] for parallel systematic, [Par_sampling]
+    for parallel sampling — a mismatch (e.g. a checkpoint written with a
+    different [jobs] regime, or split-depth/item-count drift) raises
+    {!Checkpoint.Mismatch}. *)

@@ -1,4 +1,4 @@
-(* Worker IPC protocol. See DESIGN.md, "Supervision".
+(* Worker IPC protocol. See DESIGN.md, "Parallel search and supervision".
 
    The supervisor and its forked workers exchange length-prefixed JSON
    frames over pipes: an 8-lowercase-hex-digit payload length followed by
@@ -165,7 +165,7 @@ let verdict_of_json o =
 
 (* Analysis travels as its edge set only; the per-part cycles are a pure
    function of the edges ([AH.cycles]) and are recomputed on decode, exactly
-   as the in-domain shard computes them locally. *)
+   as a work item run in-process computes them locally. *)
 let report_to_json (r : Report.t) =
   J.Obj
     [ ("verdict", verdict_to_json r.Report.verdict);

@@ -185,7 +185,7 @@ let prefix_folded snap =
 (* Run [cfg] uninterrupted; run it again with [max_executions = cut] and a
    checkpoint; resume; assert verdict, stats and metric counters all match
    the uninterrupted run. Returns both reports for extra assertions. *)
-let resume_equal ?(runner = fun ?resume cfg p -> Par_search.run ?resume cfg p) cfg prog
+let resume_equal ?(runner = fun ?resume cfg p -> Supervisor.run ?resume cfg p) cfg prog
     ~cut =
   let full = runner cfg prog in
   (* Clamp below the uninterrupted total so the cut genuinely interrupts. *)
@@ -289,12 +289,12 @@ let unit_tests =
               pa_complete = false }
         in
         check "parallel payload on a sequential run raises Mismatch" true
-          (match Par_search.run ~resume:pa base prog with
+          (match Supervisor.run ~resume:pa base prog with
            | exception CK.Mismatch _ -> true
            | _ -> false);
         let sq = CK.Seq { (gen_seq (R.make 3L)) with CK.sq_complete = false } in
         check "sequential payload on a parallel run raises Mismatch" true
-          (match Par_search.run ~resume:sq { base with Search_config.jobs = 4 } prog with
+          (match Supervisor.run ~resume:sq { base with Search_config.jobs = 4 } prog with
            | exception CK.Mismatch _ -> true
            | _ -> false));
     Alcotest.test_case "interrupted-then-resumed DFS equals uninterrupted (jobs=1)"

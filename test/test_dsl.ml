@@ -537,7 +537,7 @@ let differential_tests =
             let reports =
               List.map
                 (fun (backend, jobs) ->
-                  Par_search.run { cfg with jobs } (D.compile ~backend ast))
+                  Supervisor.run { cfg with jobs } (D.compile ~backend ast))
                 [ (`Ast, 1); (`Ast, 4); (`Vm, 1); (`Vm, 4) ]
             in
             match reports with

@@ -2,7 +2,7 @@
    systematic modes (same verdict, execution count, transition count and
    coverage-state count for every jobs value), reproducibility of sampling
    modes for a fixed (seed, jobs) pair, and deterministic replay of
-   counterexamples found by workers. Runs multi-domain searches on however
+   counterexamples found by workers. Runs the forked worker pool on however
    many cores the host has — the invariants are scheduling-independent. *)
 
 open Fairmc_core
@@ -24,7 +24,7 @@ let assert_systematic_equiv name cfg prog =
   let seq = Search.run cfg prog in
   List.iter
     (fun jobs ->
-      let par = Par_search.run { cfg with Search_config.jobs } prog in
+      let par = Supervisor.run { cfg with Search_config.jobs } prog in
       let tag fmt = Printf.sprintf "%s j=%d: %s" name jobs fmt in
       Alcotest.(check string) (tag "verdict") (verdict_kind seq) (verdict_kind par);
       check_int (tag "executions") seq.stats.executions par.stats.executions;
@@ -76,7 +76,7 @@ let suite =
         let seq = Search.run { cfg with jobs = 1 } p in
         List.iter
           (fun split_depth ->
-            let par = Par_search.run { cfg with split_depth } p in
+            let par = Supervisor.run { cfg with split_depth } p in
             check_int
               (Printf.sprintf "executions at split=%d" split_depth)
               seq.stats.executions par.stats.executions;
@@ -86,7 +86,7 @@ let suite =
           [ 1; 2; 8 ]);
     Alcotest.test_case "parallel counterexample replays deterministically" `Quick (fun () ->
         let p = W.Litmus.race_assert () in
-        let r = Par_search.run { base with jobs = 4 } p in
+        let r = Supervisor.run { base with jobs = 4 } p in
         match r.verdict with
         | Report.Safety_violation { cex; _ } ->
           (match Search.replay p cex.decisions (fun _ -> ()) with
@@ -102,7 +102,7 @@ let suite =
           { base with mode = Search_config.Random_walk 100; livelock_bound = Some 300 }
         in
         let seq = Search.run cfg p in
-        let par () = Par_search.run { cfg with jobs = 4 } p in
+        let par () = Supervisor.run { cfg with jobs = 4 } p in
         let r1 = par () and r2 = par () in
         Alcotest.(check string) "verdict kind" (verdict_kind seq) (verdict_kind r1);
         (* Fixed (seed, jobs): the winning worker and its schedule are
@@ -117,14 +117,16 @@ let suite =
         let cfg =
           { base with mode = Search_config.Priority_random 21; coverage = true; jobs = 4 }
         in
-        let r = Par_search.run cfg p in
+        let r = Supervisor.run cfg p in
         check "no error" false (Report.found_error r);
         check_int "21 executions total" 21 r.stats.executions);
     Alcotest.test_case "jobs=0 resolves to the host's domain count" `Quick (fun () ->
         check_int "auto"
           (Domain.recommended_domain_count ())
-          (Par_search.resolve_jobs { base with jobs = 0 });
-        check_int "explicit" 3 (Par_search.resolve_jobs { base with jobs = 3 });
+          (Supervisor.pool_size { base with jobs = 0 });
+        check_int "explicit" 3 (Supervisor.pool_size { base with jobs = 3 });
+        check_int "jobs and workers name one pool" 3
+          (Supervisor.pool_size { base with jobs = 2; workers = 3 });
         let p = W.Litmus.race_assert () in
-        let r = Par_search.run { base with jobs = 0 } p in
+        let r = Supervisor.run { base with jobs = 0 } p in
         check "auto jobs still finds the bug" true (Report.found_error r)) ]

@@ -4,10 +4,9 @@
    — two identical submissions share one search and every subscriber gets
    the same final report.
 
-   The daemon forks a runner per job and this test binary is
-   domain-tainted (OCaml 5 forbids fork after a domain has been created),
-   so the daemon runs as the real chessd binary in a subprocess — the
-   same thing CI and users run. *)
+   The daemon is the binary under test here: it runs as the real chessd
+   executable in a subprocess — the same thing CI and users run — so the
+   tests see its socket protocol, spool and restart behaviour end to end. *)
 
 module Serve = Fairmc_serve
 module P = Serve.Protocol

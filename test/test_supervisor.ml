@@ -1,20 +1,19 @@
-(* Supervised worker-pool tests.
+(* Worker-pool tests.
 
-   OCaml 5 forbids [Unix.fork] for the rest of the process lifetime once a
-   second domain has ever been created — and this test binary runs
-   multi-domain suites before this one. So the fork paths (zero-fault
-   equivalence, the fault-injection matrix, crash quarantine, SIGINT
-   teardown) are exercised through the real CLI binary in a subprocess,
-   which is also what CI and users run; the in-process tests cover the
-   pieces that do not fork — the workers=1 passthrough, the
-   domains-already-created degradation path, checkpoint save hardening, the
-   EINTR retry wrappers, resource-exhaustion trapping, and the wire
-   protocol. *)
+   Nothing in the library creates a domain, so this test binary can fork:
+   zero-fault equivalence, the fault-injection matrix, crash quarantine,
+   sampling faults and the shared execution budget run in-process through
+   [Checker.check]. Only the SIGINT teardown drives the real CLI in a
+   subprocess, because there the binary itself (its signal handling and
+   exit code) is under test. The rest covers the pieces that do not fork:
+   the jobs=1 passthrough, checkpoint save hardening, the EINTR retry
+   wrappers, resource-exhaustion trapping, and the wire protocol. *)
 
 open Fairmc_core
 module W = Fairmc_workloads
 module J = Fairmc_util.Json
 module Retry = Fairmc_util.Retry
+module Events = Fairmc_obs.Events
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -23,33 +22,6 @@ let check_str = Alcotest.(check string)
 let base = { Search_config.default with livelock_bound = Some 2_000 }
 
 let verdict_kind (r : Report.t) = Report.verdict_name r.verdict
-
-(* ------------------------------------------------------------------ *)
-(* CLI subprocess harness                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* The CLI is a declared dependency of the test stanza, built next to this
-   executable; resolve it relative to the binary so the suite works under
-   both [dune runtest] and [dune exec]. *)
-let cli =
-  Filename.concat
-    (Filename.dirname (Filename.dirname Sys.executable_name))
-    (Filename.concat "bin" "chess_cli.exe")
-
-let run_cli ~expect args =
-  if not (Sys.file_exists cli) then Alcotest.skip ();
-  let cmd = Filename.quote_command cli ("check" :: args) ^ " >/dev/null 2>/dev/null" in
-  let rc = Sys.command cmd in
-  check_int (Printf.sprintf "exit status of %s" (String.concat " " args)) expect rc
-
-let report_of_cli ~expect args =
-  let file = Filename.temp_file "fairmc_suptest" ".json" in
-  run_cli ~expect (args @ [ "--json"; file ]);
-  let s = In_channel.with_open_bin file In_channel.input_all in
-  Sys.remove file;
-  match J.of_string s with
-  | Ok j -> j
-  | Error e -> Alcotest.failf "unparseable report from %s: %s" (String.concat " " args) e
 
 let field name = function
   | J.Obj kvs ->
@@ -73,112 +45,200 @@ let deterministic_stats j =
          kvs)
   | _ -> Alcotest.fail "stats is not an object"
 
-let assert_reports_equal name a b =
+let assert_json_reports_equal name a b =
   check (name ^ ": verdict") true (J.equal (field "verdict" a) (field "verdict" b));
   let sa = deterministic_stats a and sb = deterministic_stats b in
   if not (J.equal sa sb) then
     Alcotest.failf "%s: deterministic stats differ:\n%s\n%s" name (J.to_string sa)
       (J.to_string sb)
 
+let assert_reports_equal name a b =
+  assert_json_reports_equal name (Report.to_json a) (Report.to_json b)
+
+let check_with cfg prog = Checker.check ~config:cfg prog
+
+let dining3 () = W.Dining.program ~n:3 W.Dining.Ordered
+
 (* ------------------------------------------------------------------ *)
-(* Zero-fault equivalence: supervised == in-domain, via the CLI        *)
+(* Zero-fault equivalence: -j N == -j 1                                *)
 (* ------------------------------------------------------------------ *)
 
 let equivalence_tests =
   [ Alcotest.test_case "zero faults: verified workload is bit-equal" `Quick (fun () ->
-        let common = [ "dining-3-ordered"; "--coverage"; "-q" ] in
-        let indom = report_of_cli ~expect:0 (common @ [ "-j"; "2" ]) in
-        let sup = report_of_cli ~expect:0 (common @ [ "--workers"; "2" ]) in
-        assert_reports_equal "dining-3" indom sup);
+        let cfg = { base with coverage = true } in
+        let seq = check_with cfg (dining3 ()) in
+        let pool = check_with { cfg with jobs = 2 } (dining3 ()) in
+        assert_reports_equal "dining-3" seq pool);
     Alcotest.test_case "zero faults: erroring workload is bit-equal" `Quick (fun () ->
-        let common = [ "race-assert"; "-s"; "cb:2"; "--coverage"; "-q" ] in
-        let indom = report_of_cli ~expect:1 (common @ [ "-j"; "2" ]) in
-        let sup = report_of_cli ~expect:1 (common @ [ "--workers"; "2" ]) in
-        assert_reports_equal "race-assert" indom sup;
+        let cfg =
+          { base with mode = Search_config.Context_bounded 2; coverage = true }
+        in
+        let prog = W.Litmus.race_assert () in
+        let seq = check_with cfg prog in
+        let pool = check_with { cfg with workers = 2 } prog in
+        assert_reports_equal "race-assert" seq pool;
         (* Same counterexample schedule, found at the same DFS position. *)
-        check "counterexample decisions equal" true
-          (J.equal
-             (field "counterexample" (field "verdict" indom))
-             (field "counterexample" (field "verdict" sup)))) ]
+        let decisions r =
+          Option.map (fun (c : Report.counterexample) -> c.decisions) (Report.cex r)
+        in
+        check "counterexample decisions equal" true (decisions seq = decisions pool)) ]
 
 (* ------------------------------------------------------------------ *)
-(* Fault-injection matrix, via the CLI                                 *)
+(* Fault-injection matrix                                              *)
 (* ------------------------------------------------------------------ *)
+
+let pool_cfg = { base with coverage = true; jobs = 2 }
+
+let fault_cfg cfg kind =
+  let cfg =
+    { cfg with Search_config.inject_fault = Some { fault_kind = kind; fault_seed = 1 } }
+  in
+  match kind with
+  | Search_config.Hang -> { cfg with item_timeout = Some 0.4 }
+  | Search_config.Save_fail ->
+    { cfg with
+      checkpoint = Some (Filename.temp_file "fairmc_savefail" ".ckpt");
+      checkpoint_interval = 0. }
+  | _ -> cfg
 
 let fault_matrix_tests =
-  let clean () =
-    report_of_cli ~expect:0 [ "dining-3-ordered"; "--coverage"; "--workers"; "2"; "-q" ]
-  in
   List.map
     (fun kind ->
       let name = Search_config.fault_kind_name kind in
       Alcotest.test_case
         (Printf.sprintf "fault %s recovers to the clean report" name) `Quick
         (fun () ->
-          let clean = clean () in
-          let extra =
-            match kind with
-            | Search_config.Hang -> [ "--item-timeout"; "0.4" ]
-            | Search_config.Save_fail ->
-              [ "--checkpoint"; Filename.temp_file "fairmc_savefail" ".ckpt";
-                "--checkpoint-interval"; "0" ]
-            | _ -> []
-          in
-          let faulted =
-            report_of_cli ~expect:0
-              ([ "dining-3-ordered"; "--coverage"; "--workers"; "2"; "-q";
-                 "--inject-fault"; name ^ "@1" ]
-               @ extra)
-          in
+          let clean = check_with pool_cfg (dining3 ()) in
+          let cfg = fault_cfg pool_cfg kind in
+          let faulted = check_with cfg (dining3 ()) in
+          Option.iter Sys.remove cfg.checkpoint;
           assert_reports_equal name clean faulted))
     Search_config.fault_kinds
 
 (* ------------------------------------------------------------------ *)
-(* Crash quarantine, via the CLI                                       *)
+(* Crash quarantine                                                    *)
 (* ------------------------------------------------------------------ *)
+
+let crash0 = Some { Search_config.fault_kind = Search_config.Crash; fault_seed = 0 }
 
 let quarantine_tests =
   [ Alcotest.test_case "retry budget 0 quarantines the item as a crash" `Quick
       (fun () ->
         let r =
-          report_of_cli ~expect:1
-            [ "dining-3-ordered"; "--workers"; "2"; "--max-retries"; "0";
-              "--inject-fault"; "crash@0"; "-q" ]
+          check_with { base with workers = 2; max_retries = 0; inject_fault = crash0 } (dining3 ())
         in
-        check_str "verdict key" "crash"
-          (match field "verdict_key" r with J.Str s -> s | _ -> "?");
-        let v = field "verdict" r in
+        check_str "verdict key" "crash" (Report.verdict_key r.verdict);
         (* The counterexample is the quarantined item's schedule prefix —
            the same decisions the expansion locked for item 0. *)
-        let decisions = field "decisions" (field "counterexample" v) in
         let items, _ =
-          Search.expand base
-            (W.Dining.program ~n:3 W.Dining.Ordered)
-            ~split_depth:Search_config.default.split_depth
+          Search.expand base (dining3 ()) ~split_depth:Search_config.default.split_depth
         in
         let expected =
           match items with
           | first :: _ ->
-            J.Arr
-              (Array.to_list first
-               |> List.map (fun (d : Search.pdecision) ->
-                      J.Arr [ J.Int d.Search.p_tid; J.Int d.Search.p_alt ]))
+            Array.to_list first
+            |> List.map (fun (d : Search.pdecision) -> (d.Search.p_tid, d.Search.p_alt))
           | [] -> Alcotest.fail "expansion produced no items"
         in
-        check "cex is the item's schedule prefix" true (J.equal decisions expected));
+        match Report.cex r with
+        | Some c -> check "cex is the item's schedule prefix" true (c.decisions = expected)
+        | None -> Alcotest.fail "a crash verdict carries a counterexample");
     Alcotest.test_case "a retry absorbs the crash instead" `Quick (fun () ->
         (* Same fault, default retry budget: re-run fault-free, verdict
            clean. *)
-        let r =
-          report_of_cli ~expect:0
-            [ "dining-3-ordered"; "--workers"; "2"; "--inject-fault"; "crash@0"; "-q" ]
-        in
-        check_str "verdict key" "verified"
-          (match field "verdict_key" r with J.Str s -> s | _ -> "?")) ]
+        let r = check_with { base with workers = 2; inject_fault = crash0 } (dining3 ()) in
+        check_str "verdict key" "verified" (Report.verdict_key r.verdict)) ]
 
 (* ------------------------------------------------------------------ *)
-(* SIGINT teardown + cross-backend resume, via the CLI                 *)
+(* Sampling runs on the same pool                                      *)
 (* ------------------------------------------------------------------ *)
+
+let sampling_cfg = { base with mode = Search_config.Random_walk 2_000; jobs = 2 }
+
+let sampling_tests =
+  [ Alcotest.test_case "sampling: retry budget 0 quarantines the shard as a crash" `Quick
+      (fun () ->
+        let r =
+          check_with { sampling_cfg with max_retries = 0; inject_fault = crash0 } (dining3 ())
+        in
+        check_str "verdict key" "crash" (Report.verdict_key r.verdict));
+    Alcotest.test_case "sampling: faults with retries left keep the (seed, jobs) report"
+      `Quick (fun () ->
+        let clean = check_with sampling_cfg (dining3 ()) in
+        check_str "clean verdict" "limits" (Report.verdict_key clean.verdict);
+        check_int "clean executions" 2_000 clean.stats.executions;
+        List.iter
+          (fun kind ->
+            let cfg = fault_cfg sampling_cfg kind in
+            let faulted = check_with cfg (dining3 ()) in
+            Option.iter Sys.remove cfg.checkpoint;
+            assert_reports_equal (Search_config.fault_kind_name kind) clean faulted)
+          [ Search_config.Crash; Search_config.Hang; Search_config.Garble ]);
+    Alcotest.test_case "sampling: a failed checkpoint write posts checkpoint_error" `Quick
+      (fun () ->
+        let stream = Events.create ~collect:true () in
+        let cfg =
+          { sampling_cfg with
+            mode = Search_config.Random_walk 20;
+            checkpoint = Some "/nonexistent-dir/x/sampling.ckpt";
+            events = Some stream }
+        in
+        let r = check_with cfg (dining3 ()) in
+        check_str "verdict" "limits" (Report.verdict_key r.verdict);
+        check "checkpoint_error posted" true
+          (List.exists
+             (fun (e : Events.event) -> e.Events.kind = "checkpoint_error")
+             (Events.collected stream))) ]
+
+(* ------------------------------------------------------------------ *)
+(* One execution budget across workers                                 *)
+(* ------------------------------------------------------------------ *)
+
+let budget_tests =
+  [ Alcotest.test_case "max_executions holds across workers" `Quick (fun () ->
+        let prog =
+          match W.Registry.find "wsq-2s-correct" with
+          | Some e -> e.W.Registry.program
+          | None -> Alcotest.fail "wsq-2s-correct is not registered"
+        in
+        List.iter
+          (fun jobs ->
+            let cfg = { Search_config.default with max_executions = Some 20_000; jobs } in
+            let r = check_with cfg prog in
+            let e = r.stats.executions in
+            check_str (Printf.sprintf "j=%d verdict" jobs) "limits"
+              (Report.verdict_key r.verdict);
+            if e < 20_000 || e > 20_000 + jobs then
+              Alcotest.failf "j=%d: %d executions, outside [20000, %d]" jobs e (20_000 + jobs))
+          [ 2; 4 ]) ]
+
+(* ------------------------------------------------------------------ *)
+(* SIGINT teardown + resume, via the CLI                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The CLI is a declared dependency of the test stanza, built next to this
+   executable; resolve it relative to the binary so the suite works under
+   both [dune runtest] and [dune exec]. *)
+let cli =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "bin" "chess_cli.exe")
+
+let report_of_cli ~expect args =
+  if not (Sys.file_exists cli) then Alcotest.skip ();
+  let file = Filename.temp_file "fairmc_suptest" ".json" in
+  let cmd =
+    Filename.quote_command cli (("check" :: args) @ [ "--json"; file ])
+    ^ " >/dev/null 2>/dev/null"
+  in
+  check_int
+    (Printf.sprintf "exit status of %s" (String.concat " " args))
+    expect (Sys.command cmd);
+  let s = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  match J.of_string s with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "unparseable report from %s: %s" (String.concat " " args) e
 
 let interrupt_tests =
   [ Alcotest.test_case "SIGINT: exit 130, loadable checkpoint, exact resume" `Slow
@@ -187,12 +247,11 @@ let interrupt_tests =
         let ckpt = Filename.temp_file "fairmc_sigint" ".ckpt" in
         Sys.remove ckpt;
         let baseline =
-          report_of_cli ~expect:0
-            [ "ticket-lock"; "--coverage"; "--workers"; "2"; "-q" ]
+          report_of_cli ~expect:0 [ "ticket-lock"; "--coverage"; "-j"; "2"; "-q" ]
         in
-        (* Interrupt a supervised checkpointed run mid-search: ticket-lock
-           runs for around a second under two workers, the signal lands at
-           0.3s — mid worker traffic, with checkpoint writes on every item
+        (* Interrupt a checkpointed pool run mid-search: ticket-lock runs
+           for around a second under two workers, the signal lands at 0.3s
+           — mid worker traffic, with checkpoint writes on every item
            (interval 0). *)
         let dev_null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
         let pid =
@@ -215,18 +274,17 @@ let interrupt_tests =
         (match Checkpoint.load ckpt with
          | Ok _ -> ()
          | Error e -> Alcotest.failf "checkpoint not loadable after SIGINT: %s" e);
-        (* Cross-backend durability: the supervisor wrote it, the in-domain
-           backend resumes it, and the merged totals equal an uninterrupted
-           run's. *)
+        (* --workers and -j name the same pool: the resume under -j 2
+           merges to an uninterrupted run's totals. *)
         let resumed =
           report_of_cli ~expect:0
             [ "ticket-lock"; "--coverage"; "-j"; "2"; "--resume"; ckpt; "-q" ]
         in
-        assert_reports_equal "resume after SIGINT" baseline resumed;
+        assert_json_reports_equal "resume after SIGINT" baseline resumed;
         Sys.remove ckpt) ]
 
 (* ------------------------------------------------------------------ *)
-(* In-process: passthrough and degradation                             *)
+(* In-process passthrough                                              *)
 (* ------------------------------------------------------------------ *)
 
 let dispatch_tests =
@@ -236,23 +294,7 @@ let dispatch_tests =
         let a = Supervisor.run cfg prog in
         let b = Search.run cfg prog in
         check_str "verdict" (verdict_kind b) (verdict_kind a);
-        check_int "executions" b.stats.executions a.stats.executions);
-    Alcotest.test_case "degrades to domains when forking is unavailable" `Quick
-      (fun () ->
-        (* This test binary has created domains, so OCaml 5 forbids fork
-           here for good: Supervisor.run must fall back to the in-domain
-           backend and still produce the exact report. *)
-        let d = Domain.spawn (fun () -> ()) in
-        Domain.join d;
-        check "can_fork reports the poisoned process" false (Supervisor.can_fork ());
-        let cfg = { base with coverage = true } in
-        let prog = W.Litmus.two_step_threads ~nthreads:2 ~steps:3 in
-        let seq = Search.run cfg prog in
-        let sup = Supervisor.run { cfg with Search_config.workers = 2 } prog in
-        check_str "verdict" (verdict_kind seq) (verdict_kind sup);
-        check_int "executions" seq.stats.executions sup.stats.executions;
-        check_int "transitions" seq.stats.transitions sup.stats.transitions;
-        check_int "states" seq.stats.states sup.stats.states) ]
+        check_int "executions" b.stats.executions a.stats.executions) ]
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint save hardening                                           *)
@@ -425,7 +467,7 @@ let protocol_tests =
         in
         let report =
           { Report.verdict = Report.Crash { reason = "boom"; cex };
-            stats = Par_search.zero_stats;
+            stats = (Search.run base (W.Litmus.fig3 ())).stats;
             metrics = Fairmc_obs.Metrics.Snapshot.empty;
             analysis = None }
         in
@@ -475,4 +517,4 @@ let protocol_tests =
 let suite =
   equivalence_tests @ fault_matrix_tests @ quarantine_tests @ interrupt_tests
   @ dispatch_tests @ save_hardening_tests @ retry_tests @ resource_tests
-  @ protocol_tests
+  @ protocol_tests @ sampling_tests @ budget_tests

@@ -123,7 +123,7 @@ let run_collect cfg prog =
   let stream = Events.create ~collect:true () in
   let cfg = { cfg with Search_config.events = Some stream } in
   let r =
-    if cfg.Search_config.jobs > 1 then Par_search.run cfg prog
+    if cfg.Search_config.jobs > 1 then Supervisor.run cfg prog
     else Search.run cfg prog
   in
   (r, Events.collected stream)
