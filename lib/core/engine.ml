@@ -62,6 +62,10 @@ type t = {
   op_counts : int array;  (* transitions by Op.kind_index *)
   mutable context_switches : int;
   mutable last_stepped : int;  (* tid of the previous transition; -1 at boot *)
+  mutable es : B.t;
+      (* enabled set of the current state: it only changes when a transition
+         runs, so it is computed once per state, at the end of [start],
+         [step] and [rewind] *)
   mutable live : bool;
 }
 
@@ -153,6 +157,25 @@ let add_thread t body =
   start_thread t tid body;
   tid
 
+(* A join target outside the allocated range is treated as not finished:
+   tids are dense and may be created later by spawns, so joining one that
+   never materializes is a deadlock, not a no-op. *)
+let finished t tid = tid >= 0 && tid < t.nthreads && t.threads.(tid) = Finished
+
+(* [Join] waits on a thread, not on an object: decided here. *)
+let enabled t tid =
+  match t.threads.(tid) with
+  | Parked { op = Join j; _ } -> finished t j
+  | Parked p -> Objects.enabled t.prog_store p.op
+  | Running | Finished -> false
+
+let refresh_enabled t =
+  let rec go tid acc =
+    if tid >= t.nthreads then acc
+    else go (tid + 1) (if enabled t tid then B.add tid acc else acc)
+  in
+  t.es <- go 0 B.empty
+
 let start (prog : Program.t) =
   (match !active with
    | Some prev when prev.live ->
@@ -186,19 +209,16 @@ let start (prog : Program.t) =
       op_counts = Array.make Op.n_kinds 0;
       context_switches = 0;
       last_stepped = -1;
+      es = B.empty;
       live = true }
   in
   active := Some t;
   List.iter (fun body -> ignore (add_thread t body)) booted.Program.threads;
+  refresh_enabled t;
   t
 
 let nthreads t = t.nthreads
 let steps t = t.steps
-
-(* A join target outside the allocated range is treated as not finished:
-   tids are dense and may be created later by spawns, so joining one that
-   never materializes is a deadlock, not a no-op. *)
-let finished t tid = tid >= 0 && tid < t.nthreads && t.threads.(tid) = Finished
 
 let pending t tid =
   if tid < 0 || tid >= t.nthreads then invalid_arg "Engine.pending";
@@ -206,17 +226,7 @@ let pending t tid =
   | Parked p -> Some p.op
   | Running | Finished -> None
 
-let enabled t tid =
-  match t.threads.(tid) with
-  | Parked p -> Objects.enabled t.prog_store ~finished:(finished t) p.op
-  | Running | Finished -> false
-
-let enabled_set t =
-  let rec go tid acc =
-    if tid >= t.nthreads then acc
-    else go (tid + 1) (if enabled t tid then B.add tid acc else acc)
-  in
-  go 0 B.empty
+let enabled_set t = t.es
 
 let would_yield t tid =
   match t.threads.(tid) with
@@ -244,10 +254,8 @@ let step t ~tid ~alt =
   match t.threads.(tid) with
   | Running | Finished -> invalid_arg "Engine.step: thread not parked"
   | Parked p ->
-    if not (Objects.enabled t.prog_store ~finished:(finished t) p.op) then
-      invalid_arg "Engine.step: thread not enabled";
+    if not (B.mem tid t.es) then invalid_arg "Engine.step: thread not enabled";
     let yielded = Objects.would_yield t.prog_store p.op in
-    let enabled_before = enabled_set t in
     let result =
       match p.op with
       | Op.Spawn ->
@@ -276,7 +284,7 @@ let step t ~tid ~alt =
     count_op t tid p.op;
     Trace.push t.trace
       { Trace.step = t.steps; tid; op = p.op; alt;
-        result = result <> 0; yielded; enabled = enabled_before };
+        result = result <> 0; yielded; enabled = t.es };
     t.steps <- t.steps + 1;
     (match t.obs with
      | None -> ()
@@ -298,7 +306,8 @@ let step t ~tid ~alt =
       Effect.Deep.continue p.k result;
       c.current_tid <- saved_tid;
       c.in_thread <- saved_in
-    end
+    end;
+    refresh_enabled t
 
 let failure t = t.failure
 
@@ -399,7 +408,8 @@ let rewind t sv =
     end
   done;
   (* Re-parking counted the pending operation again. *)
-  Array.blit sv (4 + nobj) t.op_repeat 0 n
+  Array.blit sv (4 + nobj) t.op_repeat 0 n;
+  refresh_enabled t
 
 let sync_ops t = t.sync_ops
 let var_ops t = t.var_ops

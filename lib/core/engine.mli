@@ -7,7 +7,8 @@
     the fair scheduler and the exploration strategy) decides which thread to
     [step] next. Backtracking rewinds the run in place to a state saved on
     the current path ({!save}, {!rewind}) when the program can be saved, and
-    otherwise discards the run and starts a new one that replays the prefix.
+    otherwise discards the run and starts a new one that re-executes the
+    prefix.
 
     Exactly one run may be active per process (the engine keeps its ambient
     per-run context in module-level state); parallel search runs one engine
@@ -51,7 +52,8 @@ val nthreads : t -> int
 val steps : t -> int
 
 val enabled_set : t -> B.t
-(** Threads whose pending operation is currently enabled. *)
+(** Threads whose pending operation is currently enabled. Computed once per
+    state, when the state is reached; reading it costs nothing. *)
 
 val pending : t -> int -> Op.t option
 (** Pending operation of a live thread; [None] once finished. *)

@@ -57,12 +57,12 @@ let expect t o k what =
   if s.kind <> k then sync_error "%s applied to %s (a different object kind)" what s.name;
   s
 
-let enabled t ~finished (op : Op.t) =
+let enabled t (op : Op.t) =
   match op with
   | Lock o -> (expect t o Mutex "lock").count = -1
   | Sem_wait o -> (expect t o Semaphore "sem_wait").count > 0
   | Ev_wait o -> (slot t o).count = 1
-  | Join tid -> finished tid
+  | Join _ -> invalid_arg "Objects.enabled: Join is decided by the engine"
   | Try_lock _ | Timed_lock _ | Unlock _ | Sem_try_wait _ | Sem_timed_wait _
   | Sem_post _ | Ev_timed_wait _ | Ev_set _ | Ev_reset _
   | Var_read _ | Var_write _ | Var_rmw _ | Yield | Sleep | Spawn | Choose _ -> true

@@ -35,9 +35,10 @@ exception Sync_error of string
 
 (** {1 Scheduling semantics} *)
 
-val enabled : t -> finished:(int -> bool) -> Op.t -> bool
+val enabled : t -> Op.t -> bool
 (** Whether a thread whose pending operation is [op] is enabled.
-    [finished tid] reports completed threads (for [Join]). *)
+    @raise Invalid_argument on [Join], which waits on a thread, not an
+    object: the engine decides it from thread status. *)
 
 val would_yield : t -> Op.t -> bool
 (** [yield(t)] of the paper: executing the pending operation from the current

@@ -10,8 +10,11 @@
 
     A program may also offer a {!saver}: then the search saves the run at
     the decision points it will come back to and rewinds to them instead of
-    re-running [boot] and replaying the prefix. Programs without one (native
-    OCaml workloads, whose continuations are one-shot) are re-executed. *)
+    re-running [boot]. Programs without one (native OCaml workloads, whose
+    continuations are one-shot) are re-executed: [boot] again, then the
+    prefix decisions through the engine alone, while the search restores its
+    own state from the decision point. A program whose re-execution does not
+    reach the recorded state (its enabled set differs) fails the search. *)
 
 type saver = {
   words : int;  (** size of the saved state *)

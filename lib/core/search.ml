@@ -52,14 +52,18 @@ end
 
 type alt = { tid : int; alt : int; cost : int }
 
-(* Everything a rewind needs to resume the path at a frame's node, taken
-   just before the frame's decision is applied: the engine's state, the
-   fair scheduler, the path-local search registers, and the yields taken on
-   the path so far (a rewound execution still counts its whole length).
-   [crossed_db] and [rr_next] need no slot: no frame is pushed past the depth
-   bound, and round-robin is not systematic. *)
+(* Everything backtracking needs to resume the path at a frame's node, taken
+   just before the frame's decision is applied: the engine's state when the
+   run can be saved, the fair scheduler, the path-local search registers,
+   and the yields taken on the path so far (a resumed execution still counts
+   its whole length). [crossed_db] and [rr_next] need no slot: no frame is
+   pushed past the depth bound, and round-robin is not systematic. *)
 type snap = {
-  sn_run : Engine.saved;
+  sn_run : Engine.saved option;
+      (* [Some]: rewind the run to it; [None]: re-execute the engine alone
+         up to the node *)
+  sn_steps : int;  (* the node's step count ... *)
+  sn_enabled : B.t;  (* ... and enabled set, checked after a re-execution *)
   sn_fair : int array;  (* [Fair_sched.pack] *)
   sn_budget : int;
   sn_last : int;
@@ -79,8 +83,8 @@ type frame = {
          of [1/width], maintained at push so a completed path reads its leaf
          weight in O(1) *)
   mutable snap : snap option;
-      (* kept while [rest <> []] and the run can be saved: backtracking here
-         rewinds to it instead of replaying the prefix *)
+      (* kept while [rest <> []]: backtracking here resumes from it instead
+         of replaying the prefix through the search loop *)
 }
 
 (* A locked scheduling decision handed to a parallel work item: the worker
@@ -114,7 +118,9 @@ type path_end =
    [None] and no registry exists (see DESIGN.md, "Observability"). *)
 type meters = {
   reg : M.t;
-  m_replay_steps : M.counter;  (* prefix decisions re-executed from the initial state *)
+  m_replay_steps : M.counter;
+      (* prefix decisions re-executed from the initial state, through the
+         search loop or by the engine alone *)
   m_restored_steps : M.counter;
       (* prefix decisions reached by a rewind: the restored prefix plus the
          rewound frame's next alternative *)
@@ -135,9 +141,9 @@ type meters = {
   m_span_ckpt : M.histogram;  (* checkpoint-save latency, µs *)
   mutable m_log : Bytes.t;
       (* the current path's per-step observations, [log_stride] bytes per
-         step (see [log_set]), re-observed when a rewind restores the
-         prefix so that histograms count every execution in full; only
-         kept for runs that can be rewound *)
+         step (see [log_set]), re-observed when a rewind or a re-execution
+         reaches the prefix so that histograms count every execution in
+         full; only kept by systematic searches *)
 }
 
 let log_stride = 7
@@ -499,16 +505,18 @@ let release_run st =
     st.run <- None
   | None -> ()
 
-(* A rewind stands in for the executions' shared prefix: credit the
-   transitions, yields and per-step observations that re-executing it
-   would have counted, so every execution still counts in full. *)
-let credit_prefix st (sn : snap) ~steps:i =
+(* A rewind or an engine-only re-execution stands in for the search loop on
+   the executions' shared prefix: credit the transitions, yields and
+   per-step observations the loop would have counted, so every execution
+   still counts in full. [counter] picks the prefix-step counter: restored
+   for a rewind, replay for a re-execution. *)
+let credit_prefix st ~counter ~steps:i ~yields =
   st.transitions <- st.transitions + i;
-  st.yields <- st.yields + sn.sn_yields;
+  st.yields <- st.yields + yields;
   match st.meters with
   | None -> ()
   | Some m ->
-    M.add m.m_restored_steps i;
+    M.add (counter m) i;
     let fo = m.m_fair_obs in
     for k = 0 to i - 1 do
       let b = k * log_stride in
@@ -524,10 +532,46 @@ let credit_prefix st (sn : snap) ~steps:i =
       end
     done
 
-(* Execute one path. Systematic modes first reach the top frame's node: by
-   rewinding the session's run to the frame's snapshot when it has one, or
-   else by starting a new run and replaying the frame prefix. Then the path
-   is extended with fresh decisions until it ends. *)
+let not_deterministic st ~step what =
+  failwith
+    (Printf.sprintf
+       "Search: program %s is not deterministic: re-executing the path prefix %s at step %d"
+       st.prog.Program.name what step)
+
+(* Reach the node of a frame that has a snapshot but no saved run: boot a new
+   run and step the prefix decisions through the engine alone, without the
+   search-side work of a step (the snapshot restores its results), polling
+   the clock as the search loop does. Returns [false] when stopped. A
+   program that does not reach the recorded node fails the search: it would
+   otherwise explore the wrong subtree. *)
+let reexecute st (sn : snap) =
+  release_run st;
+  let run = Engine.start st.prog in
+  st.run <- Some run;
+  List.iter (fun (i : AH.instance) -> i.exec_start run) st.analysis;
+  let rec go k =
+    if k = sn.sn_steps then begin
+      if not (B.equal (Engine.enabled_set run) sn.sn_enabled) then
+        not_deterministic st ~step:k "reached a different enabled set";
+      true
+    end
+    else if k land st.poll_mask = st.poll_mask && poll st then false
+    else begin
+      let a = st.frames.(k).chosen in
+      if Engine.failure run <> None then not_deterministic st ~step:k "failed";
+      if not (B.mem a.tid (Engine.enabled_set run)) || a.alt >= Engine.alternatives run a.tid
+      then not_deterministic st ~step:k (Printf.sprintf "cannot take thread %d" a.tid);
+      Engine.step run ~tid:a.tid ~alt:a.alt;
+      go (k + 1)
+    end
+  in
+  (run, go 0)
+
+(* Execute one path. Systematic modes first reach the top frame's node: from
+   the frame's snapshot when it has one, by rewinding the session's run or
+   else by re-executing the engine alone; without a snapshot, by starting a
+   new run and replaying the frame prefix through the search loop. Then the
+   path is extended with fresh decisions until it ends. *)
 let execute_path st ~systematic =
   let cfg = st.cfg in
   let spans_on = Option.is_some st.meters || Option.is_some st.span_buf in
@@ -537,20 +581,41 @@ let execute_path st ~systematic =
      its replay (or rewind) and fresh segments. *)
   let t_fresh = ref None in
   let top = if systematic && st.nframes > 0 then Some st.frames.(st.nframes - 1) else None in
-  let run, fair, budget, last, last_yielded, path_yields, rewound =
-    match (top, st.run) with
-    | Some ({ snap = Some sn; _ } as fr), Some run ->
-      Engine.rewind run sn.sn_run;
+  let run, fair, budget, last, last_yielded, path_yields, reached =
+    match top with
+    | Some ({ snap = Some sn; _ } as fr) ->
       (* The last alternative: nothing comes back here. *)
       if fr.rest = [] then fr.snap <- None;
-      credit_prefix st sn ~steps:(Engine.steps run);
+      let run, reached =
+        match (sn.sn_run, st.run) with
+        | Some saved, Some run ->
+          Engine.rewind run saved;
+          credit_prefix st ~counter:(fun m -> m.m_restored_steps) ~steps:sn.sn_steps
+            ~yields:sn.sn_yields;
+          (run, `Rewound)
+        | _ ->
+          let run, complete = reexecute st sn in
+          let steps = Engine.steps run in
+          let yields =
+            if complete then sn.sn_yields
+            else begin
+              let n = ref 0 in
+              for i = 0 to steps - 1 do
+                if (Trace.get (Engine.trace run) i).Trace.yielded then incr n
+              done;
+              !n
+            end
+          in
+          credit_prefix st ~counter:(fun m -> m.m_replay_steps) ~steps ~yields;
+          (run, if complete then `Reexecuted else `Stopped)
+      in
       ( run,
         Fair_sched.unpack sn.sn_fair,
         sn.sn_budget,
         sn.sn_last,
         sn.sn_last_yielded,
         sn.sn_yields,
-        true )
+        reached )
     | _ ->
       release_run st;
       let run = Engine.start st.prog in
@@ -563,7 +628,7 @@ let execute_path st ~systematic =
         -1,
         false,
         0,
-        false )
+        `Started )
   in
   let can_save = systematic && Engine.saveable run in
   let fair = ref fair in
@@ -571,12 +636,14 @@ let execute_path st ~systematic =
   let last = ref last in
   let last_yielded = ref last_yielded in
   let path_yields = ref path_yields in
-  let depth = ref (if rewound then st.nframes - 1 else 0) in
+  let depth = ref (match reached with `Started -> 0 | _ -> st.nframes - 1) in
   let crossed_db = ref false in
   let rr_next = ref 0 in
-  let snapshot () =
+  let snapshot es =
     Some
-      { sn_run = Engine.save run;
+      { sn_run = (if can_save then Some (Engine.save run) else None);
+        sn_steps = Engine.steps run;
+        sn_enabled = es;
         sn_fair = Fair_sched.pack !fair;
         sn_budget = !budget;
         sn_last = !last;
@@ -645,7 +712,7 @@ let execute_path st ~systematic =
         M.observe m.m_e_size e;
         M.observe m.m_d_size d;
         M.observe m.m_s_size s;
-        if can_save then begin
+        if systematic then begin
           let k = Engine.steps run - 1 in
           log_set m k 1 e;
           log_set m k 2 d;
@@ -716,17 +783,17 @@ let execute_path st ~systematic =
              | Some m ->
                let n = B.cardinal tset in
                M.observe m.m_sched_size n;
-               if can_save then log_set m steps 0 n
+               if systematic then log_set m steps 0 n
              | None -> ());
             if systematic && !depth < st.nframes then begin
               (match st.meters with
-               | Some m -> M.incr (if rewound then m.m_restored_steps else m.m_replay_steps)
+               | Some m ->
+                 M.incr (if reached = `Rewound then m.m_restored_steps else m.m_replay_steps)
                | None -> ());
               let fr = st.frames.(!depth) in
               (* Replaying a frame that still has alternatives (the first
-                 path of a resumed or parallel session): save its node. *)
-              if can_save && fr.rest <> [] && Option.is_none fr.snap then
-                fr.snap <- snapshot ();
+                 path of a resumed session): save its node. *)
+              if fr.rest <> [] && Option.is_none fr.snap then fr.snap <- snapshot es;
               incr depth;
               apply fr.chosen;
               loop ()
@@ -785,7 +852,7 @@ let execute_path st ~systematic =
                       sleep = !pending_sleep;
                       width;
                       cum = Obs.Estimator.descend (top_weight st) width;
-                      snap = (if can_save && rest <> [] then snapshot () else None) };
+                      snap = (if rest <> [] then snapshot es else None) };
                   incr depth;
                   apply a;
                   loop ()
@@ -795,7 +862,7 @@ let execute_path st ~systematic =
         end
       end
   in
-  let outcome = loop () in
+  let outcome = if reached = `Stopped then P_stopped else loop () in
   if debug then begin
     let ends = match outcome with
       | P_terminated -> "term" | P_deadlock -> "dead" | P_safety _ -> "safe"

@@ -5,8 +5,10 @@
     A backtrack rewinds the run to the state saved at the frame it returns
     to, when the program can be saved ({!Program.saver}: ChessLang on the
     VM, without dynamic analyses); otherwise the new path re-executes the
-    program from its initial state, replaying the decision prefix. Reports
-    are identical either way. Sampling modes
+    program from its initial state, stepping the decision prefix through
+    the engine alone while the search restores its own state from the
+    frame. Reports are identical either way; a program whose re-execution
+    does not reach the frame's state raises [Failure]. Sampling modes
     (random walk, round-robin, random-priority) run a fixed number of
     independent executions.
 

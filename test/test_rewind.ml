@@ -1,8 +1,10 @@
 (* Rewinding versus re-execution. A ChessLang run can be saved, so the
    systematic search rewinds it to a backtracking point instead of booting
-   the program again and replaying the prefix. Every report must be exactly
-   the one the same search produces when the program withholds its saver
-   and every backtrack re-executes from the initial state. *)
+   the program again. Without a saver (native programs, or a ChessLang
+   program that withholds it) the search re-executes the prefix in the
+   engine alone and restores its own registers from the frame. Both must
+   produce exactly the report the search produced when every backtrack
+   replayed the prefix through the whole search loop. *)
 
 open Fairmc_core
 module D = Fairmc_dsl
@@ -11,7 +13,7 @@ module MS = Fairmc_obs.Metrics.Snapshot
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* The program with its saver withheld: the search falls back to replay. *)
+(* The program with its saver withheld: the search re-executes instead. *)
 let replaying (p : Program.t) =
   { p with Program.boot = (fun () -> { (p.Program.boot ()) with Program.saver = None }) }
 
@@ -68,8 +70,11 @@ let differential () =
               same_report what replayed rewound;
               check_int (what ^ ": rewinding replays nothing") 0
                 (counter rewound.Report.metrics "search/steps/replay");
-              check_int (what ^ ": replaying restores nothing") 0
+              check_int (what ^ ": re-executing restores nothing") 0
                 (counter replayed.Report.metrics "search/steps/restored");
+              check_int (what ^ ": re-execution replays what rewinding restores")
+                (counter rewound.Report.metrics "search/steps/restored")
+                (counter replayed.Report.metrics "search/steps/replay");
               restored := !restored + counter rewound.Report.metrics "search/steps/restored")
             [ (Search_config.Dfs, false);
               (Search_config.Dfs, true);
@@ -129,8 +134,158 @@ let engine () =
     Engine.rewind run sv;
     check "a save can be rewound to twice" true (view () = at_save)
 
+(* Native programs cannot be saved: their continuations are one-shot, so
+   backtracking re-executes the engine from the initial state up to the
+   frame and restores the search registers from the frame. Their reports
+   must be exactly the ones recorded when every backtrack replayed the
+   prefix through the whole search loop: verdict and counterexample, stats,
+   and the deterministic metrics with the prefix steps folded. A digest
+   covers them all; executions and transitions are spelled out so that a
+   mismatch reads at a glance. *)
+let native_cases =
+  let cfg = Search_config.default in
+  [ ("dining-3-ordered", "dining-3-ordered", cfg);
+    ("dining-2-deadlock", "dining-2-deadlock", cfg);
+    ("promise-stale-cache", "promise-stale-cache", cfg);
+    ("wsq-2s-correct", "wsq-2s-correct", { cfg with Search_config.max_executions = Some 1_500 });
+    ("fig1", "dining-2-tryacquire+yield", { cfg with Search_config.livelock_bound = Some 400 }) ]
+
+let native_configs =
+  let modes =
+    [ ("dfs", Search_config.Dfs, false);
+      ("dfs+ss", Search_config.Dfs, true);
+      ("cb2", Search_config.Context_bounded 2, false);
+      ("cb2+ss", Search_config.Context_bounded 2, true) ]
+  in
+  List.concat_map
+    (fun (name, mode, sleep_sets) ->
+      [ ( name ^ " metrics+coverage",
+          fun (c : Search_config.t) ->
+            { c with Search_config.mode; sleep_sets; metrics = true; coverage = true } );
+        ( name ^ " races",
+          fun (c : Search_config.t) ->
+            { c with
+              Search_config.mode;
+              sleep_sets;
+              metrics = true;
+              analyses = [ Fairmc_analysis.Hb_race.analysis ] } ) ])
+    modes
+
+let native_digest (r : Report.t) =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          ( r.Report.verdict,
+            Test_checkpoint.strip_time r.Report.stats,
+            det_metrics r.Report.metrics,
+            r.Report.analysis )
+          [ Marshal.No_sharing ]))
+
+let native_runs () =
+  List.concat_map
+    (fun (case, prog_name, cfg) ->
+      let prog =
+        match Fairmc_workloads.Registry.find prog_name with
+        | Some e -> e.Fairmc_workloads.Registry.program
+        | None -> Alcotest.failf "no program %s" prog_name
+      in
+      List.map
+        (fun (cname, with_cfg) ->
+          (case ^ " " ^ cname, Search.run (with_cfg cfg) prog))
+        native_configs)
+    native_cases
+
+(* Recorded with the loop-replaying search. *)
+let native_golden =
+  [ ("dining-3-ordered dfs metrics+coverage", 1853, 50031, "ce3439f2bc43f72b3a715af19d57fb31");
+    ("dining-3-ordered dfs races", 1853, 50031, "ed7235e7355da3b1649de9cdf458ceb7");
+    ("dining-3-ordered dfs+ss metrics+coverage", 30, 503, "1cc6d15eb982338e90f140a27ee36765");
+    ("dining-3-ordered dfs+ss races", 30, 503, "4164b4a464cf6076d363ee3598344cf0");
+    ("dining-3-ordered cb2 metrics+coverage", 250, 6750, "6fba1c3e93ef0f366412a2f198ff3106");
+    ("dining-3-ordered cb2 races", 250, 6750, "d6c18fe32c2b252a7922d2f2e27568d3");
+    ("dining-3-ordered cb2+ss metrics+coverage", 29, 486, "da811ae35060826871033b9489d65443");
+    ("dining-3-ordered cb2+ss races", 29, 486, "ced8af53f2f3a581a5638229e191c053");
+    ("dining-2-deadlock dfs metrics+coverage", 3, 38, "7c61f4aa4a1af3ea57d5227aa7dd4ff8");
+    ("dining-2-deadlock dfs races", 3, 38, "67987be3c3952eda2e4ade3b946681c9");
+    ("dining-2-deadlock dfs+ss metrics+coverage", 3, 29, "925fec56ad0213070d84580a9ec7648f");
+    ("dining-2-deadlock dfs+ss races", 3, 29, "f19ce957fb931f3435f44f3900da679b");
+    ("dining-2-deadlock cb2 metrics+coverage", 3, 38, "7c61f4aa4a1af3ea57d5227aa7dd4ff8");
+    ("dining-2-deadlock cb2 races", 3, 38, "67987be3c3952eda2e4ade3b946681c9");
+    ("dining-2-deadlock cb2+ss metrics+coverage", 3, 29, "925fec56ad0213070d84580a9ec7648f");
+    ("dining-2-deadlock cb2+ss races", 3, 29, "f19ce957fb931f3435f44f3900da679b");
+    ("promise-stale-cache dfs metrics+coverage", 5, 10028, "765aa302355f24c4eba6e247e048f081");
+    ("promise-stale-cache dfs races", 1, 7, "874c022682900aef31746f389f48b186");
+    ("promise-stale-cache dfs+ss metrics+coverage", 3, 10013, "bbda74f7574d2648a10f3d70d67b3aa2");
+    ("promise-stale-cache dfs+ss races", 1, 7, "874c022682900aef31746f389f48b186");
+    ("promise-stale-cache cb2 metrics+coverage", 5, 10028, "765aa302355f24c4eba6e247e048f081");
+    ("promise-stale-cache cb2 races", 1, 7, "874c022682900aef31746f389f48b186");
+    ("promise-stale-cache cb2+ss metrics+coverage", 3, 10013, "bbda74f7574d2648a10f3d70d67b3aa2");
+    ("promise-stale-cache cb2+ss races", 1, 7, "874c022682900aef31746f389f48b186");
+    ("wsq-2s-correct dfs metrics+coverage", 1500, 91500, "0d5eefb300bb52e489e01e396a9b49f0");
+    ("wsq-2s-correct dfs races", 1500, 91500, "52c323b7b6f7d7d5479e56da4fd22d67");
+    ("wsq-2s-correct dfs+ss metrics+coverage", 1500, 84363, "b0d694df88c9ed4919c2c6c784c1df11");
+    ("wsq-2s-correct dfs+ss races", 1500, 84363, "5ce33ff35a5a45aed2f409f1d62d2c0b");
+    ("wsq-2s-correct cb2 metrics+coverage", 1500, 91500, "4c2934399f3dfce06265583033eace2f");
+    ("wsq-2s-correct cb2 races", 1500, 91500, "0468603967b3898e6d90fae99dba725e");
+    ("wsq-2s-correct cb2+ss metrics+coverage", 1500, 81950, "1191fa4253773ebfe254007cc6202a77");
+    ("wsq-2s-correct cb2+ss races", 1216, 66434, "c4249564c2e1092b740db161b0a63081");
+    ("fig1 dfs metrics+coverage", 353, 74640, "c68ce7557a02c86d6c043c901fcfab7f");
+    ("fig1 dfs races", 353, 74640, "a2072322f95d162d9e28768f688116d2");
+    ("fig1 dfs+ss metrics+coverage", 353, 74640, "c68ce7557a02c86d6c043c901fcfab7f");
+    ("fig1 dfs+ss races", 353, 74640, "a2072322f95d162d9e28768f688116d2");
+    ("fig1 cb2 metrics+coverage", 34, 916, "fa207710147f5aee82e0d731185034e4");
+    ("fig1 cb2 races", 34, 916, "fa2891f8908d0b038add47726f3f9c03");
+    ("fig1 cb2+ss metrics+coverage", 18, 476, "a05b8cee40a4f38bf389548e6d6f95f2");
+    ("fig1 cb2+ss races", 18, 476, "0820a3cd1f67c87638ec32226c462c4f") ]
+
+let native () =
+  let runs = native_runs () in
+  check_int "one golden per run" (List.length native_golden) (List.length runs);
+  List.iter2
+    (fun (name, execs, trans, digest) (name', (r : Report.t)) ->
+      Alcotest.(check string) "case" name name';
+      check_int (name ^ ": executions") execs r.Report.stats.Report.executions;
+      check_int (name ^ ": transitions") trans r.Report.stats.Report.transitions;
+      Alcotest.(check string) (name ^ ": report digest") digest (native_digest r);
+      check_int (name ^ ": native runs are never rewound") 0
+        (counter r.Report.metrics "search/steps/restored"))
+    native_golden runs
+
+(* Re-execution trusts the stateless contract: booting again and taking the
+   same decisions reaches the same node. A program that breaks it must stop
+   the search with an error naming it and the step, not explore a subtree of
+   some other node. This one counts its boots in a global: after the first,
+   thread 1 competes for the lock instead of yielding. *)
+let nondeterministic () =
+  let boots = ref 0 in
+  let prog =
+    Program.of_threads ~name:"boot-counter" (fun () ->
+        incr boots;
+        let first = !boots = 1 in
+        let m = Sync.Mutex.create () in
+        [ (fun () ->
+            Sync.Mutex.lock m;
+            Sync.Mutex.unlock m);
+          (fun () ->
+            if first then begin
+              Sync.yield ();
+              Sync.yield ()
+            end
+            else begin
+              Sync.Mutex.lock m;
+              Sync.Mutex.unlock m
+            end) ])
+  in
+  Alcotest.check_raises "names the program and the step"
+    (Failure
+       "Search: program boot-counter is not deterministic: re-executing the path prefix \
+        reached a different enabled set at step 1")
+    (fun () -> ignore (Search.run Search_config.default prog))
+
 let suite =
   [ Alcotest.test_case "engine save/rewind round trip" `Quick engine;
     Alcotest.test_case "rewinding reports = replaying reports, every example" `Quick
       differential;
+    Alcotest.test_case "native re-execution reports = recorded replay reports" `Quick native;
+    Alcotest.test_case "re-execution stops a nondeterministic program" `Quick nondeterministic;
     Alcotest.test_case "resume: replayed first path, rewound later paths" `Quick resume ]

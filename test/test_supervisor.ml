@@ -247,16 +247,17 @@ let interrupt_tests =
         let ckpt = Filename.temp_file "fairmc_sigint" ".ckpt" in
         Sys.remove ckpt;
         let baseline =
-          report_of_cli ~expect:0 [ "ticket-lock"; "--coverage"; "-j"; "2"; "-q" ]
+          report_of_cli ~expect:0
+            [ "singularity-lite-2s-1a"; "-s"; "cb:2"; "--coverage"; "-j"; "2"; "-q" ]
         in
-        (* Interrupt a checkpointed pool run mid-search: ticket-lock runs
-           for around a second under two workers, the signal lands at 0.3s
-           — mid worker traffic, with checkpoint writes on every item
-           (interval 0). *)
+        (* Interrupt a checkpointed pool run mid-search: the Singularity-lite
+           boot under cb=2 runs for well over a second under two workers,
+           the signal lands at 0.3s — mid worker traffic, with checkpoint
+           writes on every item (interval 0). *)
         let dev_null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
         let pid =
           Unix.create_process cli
-            [| cli; "check"; "ticket-lock"; "--coverage"; "--workers"; "2";
+            [| cli; "check"; "singularity-lite-2s-1a"; "-s"; "cb:2"; "--coverage"; "--workers"; "2";
                "--checkpoint"; ckpt; "--checkpoint-interval"; "0"; "-q" |]
             Unix.stdin dev_null dev_null
         in
@@ -278,7 +279,8 @@ let interrupt_tests =
            merges to an uninterrupted run's totals. *)
         let resumed =
           report_of_cli ~expect:0
-            [ "ticket-lock"; "--coverage"; "-j"; "2"; "--resume"; ckpt; "-q" ]
+            [ "singularity-lite-2s-1a"; "-s"; "cb:2"; "--coverage"; "-j"; "2"; "--resume"; ckpt;
+              "-q" ]
         in
         assert_json_reports_equal "resume after SIGINT" baseline resumed;
         Sys.remove ckpt) ]
