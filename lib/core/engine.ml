@@ -31,8 +31,9 @@ type parked = {
 }
 
 type tstate =
-  | Parked of parked
-  | Running  (* transient, while its continuation executes *)
+  | Parked of parked  (* a native thread's fiber, parked on its pending op *)
+  | Ready of Op.t  (* a machine thread, parked on its pending op *)
+  | Running  (* transient, while the thread runs to its next park *)
   | Finished
 
 type observer = tid:int -> op:Op.t -> result:int -> unit
@@ -56,7 +57,9 @@ type t = {
   mutable steps : int;
   snapshot : (unit -> Fnv.t) option;
   snapshotters : (Fnv.t -> Fnv.t) list;
-  saver : Program.saver option;  (* [None] also when an observer is installed *)
+  machine : Program.machine option;
+  saver : Program.saver option;
+      (* [None] also when an observer is installed or a thread is native *)
   mutable sync_ops : int;
   mutable var_ops : int;
   op_counts : int array;  (* transitions by Op.kind_index *)
@@ -83,33 +86,33 @@ let set_observer f = observer := f
 
 let record_failure t tid f = if t.failure = None then t.failure <- Some (tid, f)
 
-(* Run [body] as thread [tid] until its first scheduling point (or
+(* Saturate the counter: straight-line runs of identical operations are
+   short (that is all the disambiguation needs), while an unbounded counter
+   would make single-operation spin loops produce infinitely many
+   signatures, breaking cycle detection. *)
+let note_park t tid op =
+  (match t.prev_op.(tid) with
+   | Some prev when Op.equal prev op -> t.op_repeat.(tid) <- min (t.op_repeat.(tid) + 1) 4
+   | Some _ | None -> t.op_repeat.(tid) <- 0);
+  t.prev_op.(tid) <- Some op
+
+let record_exn t tid = function
+  | Runtime.Assertion_failure m -> record_failure t tid (Assertion m)
+  | Objects.Sync_error m -> record_failure t tid (Sync_misuse m)
+  | e ->
+    record_failure t tid
+      (match resource_failure e with Some f -> f | None -> Uncaught (Printexc.to_string e))
+
+(* Run [body] as native thread [tid] until its first scheduling point (or
    completion). The deep handler stays installed for the thread's lifetime:
    subsequent parks happen during [Effect.Deep.continue] in [step]. *)
 let start_thread t tid body =
-  let note_park t tid op =
-    (* Saturate the counter: straight-line runs of identical operations are
-       short (that is all the disambiguation needs), while an unbounded
-       counter would make single-operation spin loops produce infinitely
-       many signatures, breaking cycle detection. *)
-    (match t.prev_op.(tid) with
-     | Some prev when prev = op -> t.op_repeat.(tid) <- min (t.op_repeat.(tid) + 1) 4
-     | Some _ | None -> t.op_repeat.(tid) <- 0);
-    t.prev_op.(tid) <- Some op
-  in
   let handler : (unit, unit) Effect.Deep.handler =
     { retc = (fun () -> t.threads.(tid) <- Finished);
       exnc =
         (fun exn ->
           t.threads.(tid) <- Finished;
-          match exn with
-          | Runtime.Assertion_failure m -> record_failure t tid (Assertion m)
-          | Objects.Sync_error m -> record_failure t tid (Sync_misuse m)
-          | e ->
-            record_failure t tid
-              (match resource_failure e with
-               | Some f -> f
-               | None -> Uncaught (Printexc.to_string e)));
+          record_exn t tid exn);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
@@ -138,7 +141,21 @@ let start_thread t tid body =
   c.current_tid <- saved_tid;
   c.in_thread <- saved_in
 
-let add_thread t body =
+(* Run machine thread [tid] to its next scheduling point, delivering
+   [result] to its pending operation: a plain call, no fiber. Exceptions
+   become failures exactly as a fiber's [exnc] maps them. *)
+let run_machine t (m : Program.machine) tid result =
+  match m.Program.run tid result with
+  | Some op ->
+    note_park t tid op;
+    t.threads.(tid) <- Ready op
+  | None -> t.threads.(tid) <- Finished
+  | exception e ->
+    t.threads.(tid) <- Finished;
+    record_exn t tid e
+
+(* Allocate the next tid, in state [Running] until its first park. *)
+let new_thread t =
   if t.nthreads > B.max_capacity then failwith "Engine: too many threads";
   if t.nthreads = Array.length t.threads then begin
     let a = Array.make (2 * t.nthreads) Finished in
@@ -154,6 +171,10 @@ let add_thread t body =
   let tid = t.nthreads in
   t.threads.(tid) <- Running;
   t.nthreads <- tid + 1;
+  tid
+
+let add_thread t body =
+  let tid = new_thread t in
   start_thread t tid body;
   tid
 
@@ -165,8 +186,8 @@ let finished t tid = tid >= 0 && tid < t.nthreads && t.threads.(tid) = Finished
 (* [Join] waits on a thread, not on an object: decided here. *)
 let enabled t tid =
   match t.threads.(tid) with
-  | Parked { op = Join j; _ } -> finished t j
-  | Parked p -> Objects.enabled t.prog_store p.op
+  | Parked { op = Join j; _ } | Ready (Join j) -> finished t j
+  | Parked { op; _ } | Ready op -> Objects.enabled t.prog_store op
   | Running | Finished -> false
 
 let refresh_enabled t =
@@ -199,11 +220,15 @@ let start (prog : Program.t) =
       steps = 0;
       snapshot = booted.Program.snapshot;
       snapshotters = c.snapshotters;
+      machine = booted.Program.machine;
       saver =
         (* An observer (dynamic analysis) keeps per-execution state of its
            own, and Svar snapshotters hash user state the saver cannot see:
-           both need the run re-executed. *)
-        (match (obs, c.snapshotters) with None, [] -> booted.Program.saver | _ -> None);
+           both need the run re-executed. So do native threads, whose
+           continuations are one-shot. *)
+        (match (obs, c.snapshotters, booted.Program.threads, booted.Program.machine) with
+         | None, [], [], Some _ -> booted.Program.saver
+         | _ -> None);
       sync_ops = 0;
       var_ops = 0;
       op_counts = Array.make Op.n_kinds 0;
@@ -213,6 +238,12 @@ let start (prog : Program.t) =
       live = true }
   in
   active := Some t;
+  (match booted.Program.machine with
+   | Some m ->
+     for _ = 1 to m.Program.count do
+       run_machine t m (new_thread t) 0
+     done
+   | None -> ());
   List.iter (fun body -> ignore (add_thread t body)) booted.Program.threads;
   refresh_enabled t;
   t
@@ -223,19 +254,19 @@ let steps t = t.steps
 let pending t tid =
   if tid < 0 || tid >= t.nthreads then invalid_arg "Engine.pending";
   match t.threads.(tid) with
-  | Parked p -> Some p.op
+  | Parked { op; _ } | Ready op -> Some op
   | Running | Finished -> None
 
 let enabled_set t = t.es
 
 let would_yield t tid =
   match t.threads.(tid) with
-  | Parked p -> Objects.would_yield t.prog_store p.op
+  | Parked { op; _ } | Ready op -> Objects.would_yield t.prog_store op
   | Running | Finished -> false
 
 let alternatives t tid =
   match t.threads.(tid) with
-  | Parked p -> Op.alternatives p.op
+  | Parked { op; _ } | Ready op -> Op.alternatives op
   | Running | Finished -> 1
 
 let count_op t tid (op : Op.t) =
@@ -251,63 +282,66 @@ let count_op t tid (op : Op.t) =
 
 let step t ~tid ~alt =
   if t.failure <> None then invalid_arg "Engine.step: execution already failed";
-  match t.threads.(tid) with
-  | Running | Finished -> invalid_arg "Engine.step: thread not parked"
-  | Parked p ->
-    if not (B.mem tid t.es) then invalid_arg "Engine.step: thread not enabled";
-    let yielded = Objects.would_yield t.prog_store p.op in
-    let result =
-      match p.op with
-      | Op.Spawn ->
-        let body =
-          match p.payload with
-          | Some b -> b
-          | None -> failwith "Engine: spawn without a body"
-        in
-        let child = add_thread t body in
-        (Runtime.ctx ()).spawn_result <- child;
-        1
-      | Op.Choose n ->
-        if alt < 0 || alt >= n then invalid_arg "Engine.step: bad alternative";
-        alt
-      | op ->
-        (match Objects.execute t.prog_store ~self:tid op with
-         | true -> 1
-         | false -> 0
-         | exception Objects.Sync_error m ->
-           record_failure t tid (Sync_misuse m);
-           0
-         | exception ((Stack_overflow | Out_of_memory) as e) ->
-           record_failure t tid (Option.get (resource_failure e));
-           0)
-    in
-    count_op t tid p.op;
-    Trace.push t.trace
-      { Trace.step = t.steps; tid; op = p.op; alt;
-        result = result <> 0; yielded; enabled = t.es };
-    t.steps <- t.steps + 1;
-    (match t.obs with
-     | None -> ()
-     | Some f ->
-       (* After [Trace.push]: an observer that snapshots the trace here sees
-          the schedule up to and including this transition. [Spawn] reports
-          the child tid, [Choose] the chosen alternative, try/timed ops 0/1. *)
-       let result =
-         match p.op with Op.Spawn -> (Runtime.ctx ()).spawn_result | _ -> result
-       in
-       f ~tid ~op:p.op ~result);
-    if t.failure = None then begin
-      t.threads.(tid) <- Running;
-      let c = Runtime.ctx () in
-      let saved_tid = c.current_tid in
-      let saved_in = c.in_thread in
-      c.current_tid <- tid;
-      c.in_thread <- true;
-      Effect.Deep.continue p.k result;
-      c.current_tid <- saved_tid;
-      c.in_thread <- saved_in
-    end;
-    refresh_enabled t
+  let st = t.threads.(tid) in
+  let op =
+    match st with
+    | Parked { op; _ } | Ready op -> op
+    | Running | Finished -> invalid_arg "Engine.step: thread not parked"
+  in
+  if not (B.mem tid t.es) then invalid_arg "Engine.step: thread not enabled";
+  let yielded = Objects.would_yield t.prog_store op in
+  let result =
+    match op with
+    | Op.Spawn ->
+      let body =
+        match st with
+        | Parked { payload = Some b; _ } -> b
+        | _ -> failwith "Engine: spawn without a body"
+      in
+      let child = add_thread t body in
+      (Runtime.ctx ()).spawn_result <- child;
+      1
+    | Op.Choose n ->
+      if alt < 0 || alt >= n then invalid_arg "Engine.step: bad alternative";
+      alt
+    | op ->
+      (match Objects.execute t.prog_store ~self:tid op with
+       | true -> 1
+       | false -> 0
+       | exception Objects.Sync_error m ->
+         record_failure t tid (Sync_misuse m);
+         0
+       | exception ((Stack_overflow | Out_of_memory) as e) ->
+         record_failure t tid (Option.get (resource_failure e));
+         0)
+  in
+  count_op t tid op;
+  Trace.push t.trace
+    { Trace.step = t.steps; tid; op; alt; result = result <> 0; yielded; enabled = t.es };
+  t.steps <- t.steps + 1;
+  (match t.obs with
+   | None -> ()
+   | Some f ->
+     (* After [Trace.push]: an observer that snapshots the trace here sees
+        the schedule up to and including this transition. [Spawn] reports
+        the child tid, [Choose] the chosen alternative, try/timed ops 0/1. *)
+     let result = match op with Op.Spawn -> (Runtime.ctx ()).spawn_result | _ -> result in
+     f ~tid ~op ~result);
+  (if t.failure = None then
+     match st with
+     | Ready _ -> run_machine t (Option.get t.machine) tid result
+     | Parked p ->
+       t.threads.(tid) <- Running;
+       let c = Runtime.ctx () in
+       let saved_tid = c.current_tid in
+       let saved_in = c.in_thread in
+       c.current_tid <- tid;
+       c.in_thread <- true;
+       Effect.Deep.continue p.k result;
+       c.current_tid <- saved_tid;
+       c.in_thread <- saved_in
+     | Running | Finished -> assert false);
+  refresh_enabled t
 
 let failure t = t.failure
 
@@ -329,8 +363,8 @@ let state_signature t =
     (match t.threads.(tid) with
      | Finished -> h := Fnv.int !h (-1)
      | Running -> h := Fnv.int !h (-2)
-     | Parked p ->
-       h := Fnv.string (Fnv.int !h tid) (Op.to_string p.op);
+     | Parked { op; _ } | Ready op ->
+       h := Fnv.string (Fnv.int !h tid) (Op.to_string op);
        h := Fnv.int !h t.op_repeat.(tid);
        h := Fnv.int !h (Option.value ~default:0 (Hashtbl.find_opt regions tid)))
   done;
@@ -338,8 +372,9 @@ let state_signature t =
   match t.snapshot with None -> h | Some f -> Fnv.int h (Int64.to_int (f ()))
 
 (* One flat array, so a snapshot is a single cheap block: the step count,
-   the thread count, the finished set, the object count, then the object
-   states, each thread's op-repeat counter and the program's state. *)
+   the object count, then the object states, each thread's op-repeat counter
+   and the program's state. Only machine programs are saved, so the thread
+   count never changes. *)
 type saved = int array
 
 let saveable t = Option.is_some t.saver
@@ -352,28 +387,22 @@ let save t =
     if Hashtbl.length (Runtime.ctx ()).regions > 0 then
       invalid_arg "Engine.save: program uses Sync.at regions";
     let n = t.nthreads and nobj = Objects.length t.prog_store in
-    let sv = Array.make (4 + nobj + n + s.Program.words) 0 in
-    let finished = ref B.empty in
-    for tid = 0 to n - 1 do
-      (match t.threads.(tid) with
-       | Finished -> finished := B.add tid !finished
-       | Parked _ | Running -> ());
-      sv.(4 + nobj + tid) <- t.op_repeat.(tid)
-    done;
+    let sv = Array.make (2 + nobj + n + s.Program.words) 0 in
     sv.(0) <- t.steps;
-    sv.(1) <- n;
-    sv.(2) <- B.to_int !finished;
-    sv.(3) <- nobj;
-    Objects.save t.prog_store sv 4;
-    s.Program.capture sv (4 + nobj + n);
+    sv.(1) <- nobj;
+    Objects.save t.prog_store sv 2;
+    Array.blit t.op_repeat 0 sv (2 + nobj) n;
+    s.Program.capture sv (2 + nobj + n);
     sv
 
 let rewind t sv =
-  let s =
-    match t.saver with Some s -> s | None -> invalid_arg "Engine.rewind: run cannot be saved"
+  let s, m =
+    match (t.saver, t.machine) with
+    | Some s, Some m -> (s, m)
+    | _ -> invalid_arg "Engine.rewind: run cannot be saved"
   in
   if not t.live then invalid_arg "Engine.rewind: run was stopped or taken over";
-  let steps = sv.(0) and n = sv.(1) and finished = B.unsafe_of_int sv.(2) and nobj = sv.(3) in
+  let steps = sv.(0) and nobj = sv.(1) and n = t.nthreads in
   if steps > t.steps then invalid_arg "Engine.rewind: not a prefix of this run";
   (* The per-run counters are sums over transitions: take the dropped
      suffix back out of them instead of saving them. *)
@@ -392,23 +421,19 @@ let rewind t sv =
   Trace.truncate t.trace steps;
   t.steps <- steps;
   t.failure <- None;
-  Objects.restore t.prog_store sv 4 nobj;
-  (* Parked continuations are one-shot and belong to the abandoned suffix:
-     give every parked thread a fresh fiber that re-parks on its pending
-     operation. *)
-  let body = s.Program.resume sv (4 + nobj + n) in
-  for tid = 0 to t.nthreads - 1 do
-    t.threads.(tid) <- Finished
-  done;
-  t.nthreads <- n;
+  Objects.restore t.prog_store sv 2 nobj;
+  (* Machine threads are plain state: writing their arrays back puts each
+     one on its saved pending operation. *)
+  s.Program.restore sv (2 + nobj + n);
   for tid = 0 to n - 1 do
-    if not (B.mem tid finished) then begin
-      t.threads.(tid) <- Running;
-      start_thread t tid (body tid)
-    end
+    t.threads.(tid) <-
+      (match m.Program.pending tid with
+       | Some op ->
+         t.prev_op.(tid) <- Some op;
+         Ready op
+       | None -> Finished)
   done;
-  (* Re-parking counted the pending operation again. *)
-  Array.blit sv (4 + nobj) t.op_repeat 0 n;
+  Array.blit sv (2 + nobj) t.op_repeat 0 n;
   refresh_enabled t
 
 let sync_ops t = t.sync_ops

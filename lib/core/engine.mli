@@ -1,9 +1,11 @@
 (** One controlled execution of a program.
 
     The engine is the stateless-model-checking substrate: it boots the
-    program fresh, runs every thread inside an effect handler, and exposes
-    the scheduler-facing view of the current state — the enabled set, each
-    thread's pending operation, and [yield(t)]. The search layer (which owns
+    program fresh, steps its machine threads ({!Program.machine}: ChessLang
+    on the VM) by direct calls and runs its native threads as fibers inside
+    an effect handler, and exposes the scheduler-facing view of the current
+    state — the enabled set, each thread's pending operation, and
+    [yield(t)]. The search layer (which owns
     the fair scheduler and the exploration strategy) decides which thread to
     [step] next. Backtracking rewinds the run in place to a state saved on
     the current path ({!save}, {!rewind}) when the program can be saved, and
@@ -45,8 +47,8 @@ val set_observer : observer option -> unit
     layer ({!Search_config.analyses}) is the intended client. *)
 
 val start : Program.t -> t
-(** Boot the program: run [boot], create the initial threads, and advance
-    each to its first scheduling point. *)
+(** Boot the program: run [boot], create the initial threads (machine
+    threads first), and advance each to its first scheduling point. *)
 
 val nthreads : t -> int
 val steps : t -> int
@@ -109,15 +111,16 @@ val context_switches : t -> int
 
 type saved
 (** A run's state between transitions, never modified once saved: the
-    program's user state (via its {!Program.saver}), the object store,
-    thread status, the per-thread control counters of {!state_signature},
-    and the step count. The trace and the per-run counters are not copied: a
+    program's user state (via its {!Program.saver}, the machine threads
+    included), the object store, the per-thread control counters of
+    {!state_signature}, and the step count. The trace and the per-run counters are not copied: a
     rewind truncates them, since it only ever returns to a prefix of the
     run. *)
 
 val saveable : t -> bool
-(** The program offers a saver, no observer is installed and no {!Svar}
-    contributes to the state signature. *)
+(** The program offers a saver, every thread is a machine thread, no
+    observer is installed and no {!Svar} contributes to the state
+    signature. *)
 
 val save : t -> saved
 (** @raise Invalid_argument when not {!saveable} or the run has failed. *)
@@ -126,11 +129,13 @@ val rewind : t -> saved -> unit
 (** Return the run to the state [save] recorded earlier on its current
     path, as if the transitions since had never been taken: the trace is
     truncated, {!op_counts}, {!sync_ops}, {!var_ops} and
-    {!context_switches} drop the abandoned transitions, and every parked
-    thread gets a fresh continuation at its pending operation. [saved] is
+    {!context_switches} drop the abandoned transitions, and the program's
+    saver writes the machine threads' state back, which puts each live
+    thread on its saved pending operation — no thread is re-run. [saved] is
     not consumed; a run can be rewound to it any number of times. The run
     must still be live. *)
 
 val stop : t -> unit
-(** Mark the run as abandoned; parked continuations are dropped (they are
-    garbage-collected; threads under test must not rely on finalizers). *)
+(** Mark the run as abandoned; native threads' parked continuations are
+    dropped (they are garbage-collected; threads under test must not rely
+    on finalizers). *)

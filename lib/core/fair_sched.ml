@@ -84,11 +84,21 @@ let pack t =
   done;
   a
 
+(* Runs on every backtrack: plain loops, no per-element closure calls. *)
 let unpack a =
   let n = a.(0) in
-  let get f i = Array.init (max n 1) (fun u -> f (if u < n then a.(2 + (i * n) + u) else 0)) in
-  let set = get B.unsafe_of_int in
-  { n; k = a.(1); p = set 0; e = set 1; d = set 2; s = set 3; yc = get Fun.id 4 }
+  let m = max n 1 in
+  let p = Array.make m B.empty and e = Array.make m B.empty
+  and d = Array.make m B.empty and s = Array.make m B.empty
+  and yc = Array.make m 0 in
+  for u = 0 to n - 1 do
+    p.(u) <- B.unsafe_of_int a.(2 + u);
+    e.(u) <- B.unsafe_of_int a.(2 + n + u);
+    d.(u) <- B.unsafe_of_int a.(2 + (2 * n) + u);
+    s.(u) <- B.unsafe_of_int a.(2 + (3 * n) + u);
+    yc.(u) <- a.(2 + (4 * n) + u)
+  done;
+  { n; k = a.(1); p; e; d; s; yc }
 
 (* Mutates [t] in place and returns it: the search holds a single scheduler
    cell per execution ([fair := Fair_sched.step !fair ...]), so the previous

@@ -22,6 +22,28 @@ type t =
   | Spawn
   | Choose of int
 
+let equal a b =
+  match (a, b) with
+  | Lock x, Lock y
+  | Try_lock x, Try_lock y
+  | Timed_lock x, Timed_lock y
+  | Unlock x, Unlock y
+  | Sem_wait x, Sem_wait y
+  | Sem_try_wait x, Sem_try_wait y
+  | Sem_timed_wait x, Sem_timed_wait y
+  | Sem_post x, Sem_post y
+  | Ev_wait x, Ev_wait y
+  | Ev_timed_wait x, Ev_timed_wait y
+  | Ev_set x, Ev_set y
+  | Ev_reset x, Ev_reset y
+  | Var_read x, Var_read y
+  | Var_write x, Var_write y
+  | Var_rmw x, Var_rmw y
+  | Join x, Join y
+  | Choose x, Choose y -> Int.equal x y
+  | Yield, Yield | Sleep, Sleep | Spawn, Spawn -> true
+  | _ -> false
+
 let obj_of = function
   | Lock o | Try_lock o | Timed_lock o | Unlock o
   | Sem_wait o | Sem_try_wait o | Sem_timed_wait o | Sem_post o

@@ -1,11 +1,18 @@
+type machine = {
+  count : int;
+  run : int -> int -> Op.t option;
+  pending : int -> Op.t option;
+}
+
 type saver = {
   words : int;
   capture : int array -> int -> unit;
-  resume : int array -> int -> int -> unit -> unit;
+  restore : int array -> int -> unit;
 }
 
 type booted = {
   threads : (unit -> unit) list;
+  machine : machine option;
   snapshot : (unit -> Fairmc_util.Fnv.t) option;
   saver : saver option;
 }
@@ -15,6 +22,8 @@ type t = { name : string; boot : unit -> booted; facts : Static_facts.t option }
 let make ~name ?facts boot = { name; boot; facts }
 
 let of_threads ~name ?snapshot boot =
-  { name; boot = (fun () -> { threads = boot (); snapshot; saver = None }); facts = None }
+  { name;
+    boot = (fun () -> { threads = boot (); machine = None; snapshot; saver = None });
+    facts = None }
 
 let with_facts t facts = { t with facts = Some facts }

@@ -2,19 +2,36 @@
 
     A program is a recipe for (re-)creating its initial state: [boot] is
     called whenever an execution starts from the initial state, allocates every synchronization object and all
-    user data fresh, and returns the bodies of the initial threads. Thread
-    bodies interact with the scheduler exclusively through {!Sync}. This is
-    the stateless-model-checking contract: re-running [boot] must produce an
-    identical initial state, and thread bodies must be deterministic apart
-    from scheduling and explicit [Sync.choose] operations.
+    user data fresh, and returns its initial threads. A thread is either a
+    native body, which interacts with the scheduler exclusively through
+    {!Sync} (the engine runs it as a fiber under an effect handler), or a
+    {!machine} thread, an explicit-state machine the engine steps directly,
+    with no fiber, continuation or effect. This is the
+    stateless-model-checking contract: re-running [boot] must produce an
+    identical initial state, and threads must be deterministic apart from
+    scheduling and explicit [Sync.choose] operations.
 
-    A program may also offer a {!saver}: then the search saves the run at
-    the decision points it will come back to and rewinds to them instead of
-    re-running [boot]. Programs without one (native OCaml workloads, whose
-    continuations are one-shot) are re-executed: [boot] again, then the
-    prefix decisions through the engine alone, while the search restores its
-    own state from the decision point. A program whose re-execution does not
-    reach the recorded state (its enabled set differs) fails the search. *)
+    A program whose threads are all machine threads may also offer a
+    {!saver}: then the search saves the run at the decision points it will
+    come back to and rewinds to them instead of re-running [boot]. Other
+    programs (native OCaml workloads, whose continuations are one-shot) are
+    re-executed: [boot] again, then the prefix decisions through the engine
+    alone, while the search restores its own state from the decision point.
+    A program whose re-execution does not reach the recorded state (its
+    enabled set differs) fails the search. *)
+
+type machine = {
+  count : int;  (** the machine threads, tids [0 .. count - 1] *)
+  run : int -> int -> Op.t option;
+      (** [run tid result] delivers [result] (the engine's reply to the
+          thread's pending operation, as for {!Runtime.extension-Sched};
+          ignored on the thread's first run) and runs the thread up to its
+          next scheduling point: [Some op] parks it on [op], [None] means
+          it finished. A runtime error raises as a native body would
+          ([Sync.fail] for an assertion failure). Performs no effect. *)
+  pending : int -> Op.t option;
+      (** The operation a thread is parked on, [None] once it finished. *)
+}
 
 type saver = {
   words : int;  (** size of the saved state *)
@@ -23,26 +40,28 @@ type saver = {
           scheduling point into [buf.(off) .. buf.(off + words - 1)], in a
           layout the program alone interprets. Called only while every live
           thread is parked. *)
-  resume : int array -> int -> int -> unit -> unit;
-      (** [resume buf off] restores the user state [capture buf off] wrote
-          and returns, for each thread parked at that point, a fresh body that
-          re-performs the thread's pending operation and then carries on
-          exactly as the parked thread would have. The engine restores the
-          synchronization objects and scheduling state itself; a program
-          with a saver must keep nothing else: no {!Svar}s and no
+  restore : int array -> int -> unit;
+      (** [restore buf off] writes back the user state [capture buf off]
+          saved, machine threads included; the engine then reads each
+          thread's pending operation from {!machine.pending}. The engine
+          restores the synchronization objects and scheduling state itself;
+          a program with a saver must keep nothing else: no {!Svar}s and no
           [Sync.at] regions. *)
 }
 
 type booted = {
   threads : (unit -> unit) list;
-      (** Initial threads, in thread-id order starting at 0. More threads may
-          be created during execution with [Sync.spawn]. *)
+      (** Initial native threads, in thread-id order after the machine
+          threads. More may be created during execution with [Sync.spawn]. *)
+  machine : machine option;  (** the machine threads, tids from 0 *)
   snapshot : (unit -> Fairmc_util.Fnv.t) option;
       (** Optional user-supplied state abstraction, combined by the engine
           with the generic scheduling state to form state signatures for
           coverage measurement (paper §4.2.1 did this manually for two
           programs; programs written in ChessLang get it for free). *)
-  saver : saver option;  (** [None]: the run cannot be saved, only re-executed *)
+  saver : saver option;
+      (** [None]: the run cannot be saved, only re-executed. Ignored unless
+          every thread is a machine thread. *)
 }
 
 type t = {

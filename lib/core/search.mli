@@ -4,7 +4,7 @@
     modes (DFS, context-bounded) enumerate scheduling decisions depth-first.
     A backtrack rewinds the run to the state saved at the frame it returns
     to, when the program can be saved ({!Program.saver}: ChessLang on the
-    VM, without dynamic analyses); otherwise the new path re-executes the
+    VM, whose threads are machines, without dynamic analyses); otherwise the new path re-executes the
     program from its initial state, stepping the decision prefix through
     the engine alone while the search restores its own state from the
     frame. Reports are identical either way; a program whose re-execution

@@ -1,13 +1,18 @@
 (* Bytecode VM for ChessLang: the default execution backend.
 
    Every transition of the search runs here, so per-step interpreter cost
-   multiplies through the whole search. The VM also saves and resumes its
-   state ([Program.saver]), which lets the search rewind a run to a
-   backtracking point instead of re-executing the prefix. It executes the flat
-   bytecode produced by [Compile]: a threaded [while]/[match] dispatch
-   over an [int array], an [int array] operand stack, and flat per-thread
-   frames (a single pc + an [int array] of local slots). No strings, no
-   hash tables, no allocation on the per-instruction path.
+   multiplies through the whole search. Threads are explicit-state machines
+   ([Program.machine]): the engine calls [run] to deliver an operation's
+   result and run the thread to its next SCHED or HALT, a plain function
+   call with no fiber, continuation or effect. Because a thread is nothing
+   but its arrays, the VM also saves and restores its state
+   ([Program.saver]), which lets the search rewind a run to a backtracking
+   point by writing the arrays back instead of re-executing the prefix. It
+   executes the flat bytecode produced by [Compile]: a threaded
+   [while]/[match] dispatch over an [int array], an [int array] operand
+   stack, and flat per-thread frames (a single pc + an [int array] of local
+   slots). No strings, no hash tables, no allocation on the per-instruction
+   path.
 
    The observable contract with the AST interpreter ([Machine]) — same
    [Op.t] stream per schedule, same fuel accounting, same runtime-error
@@ -21,7 +26,8 @@ module C = Compile
 (* Parked threads sit on a SCHED or HALT instruction with an empty operand
    stack (SCHED opens a statement, so no expression is half-evaluated), so
    [cur_pc] + [locals] are the whole per-thread state: the state signature
-   hashes them and the saver copies them. *)
+   hashes them and the saver copies them. It also means one operand stack
+   per boot serves every thread. [cur_pc] is -1 before the first run. *)
 type tstate = {
   locals : int array;
   inited : bool array;
@@ -32,23 +38,24 @@ exception Vm_error of string * Ast.pos
 
 let rt_err pos fmt = Format.kasprintf (fun m -> raise (Vm_error (m, pos))) fmt
 
-(* [entry] is 0 for a thread's first run, or the SCHED it was parked on
-   when a saved run is resumed: the fiber re-performs that operation, parks
-   again, and carries on with the saved locals. *)
-let run_thread (c : C.t) (ops : Op.t array) (slots : int array) (tc : C.thread_code)
-    (ts : tstate) ~entry () =
+(* Deliver [result] to the SCHED the thread is parked on and run it to the
+   next SCHED (returning its operation) or HALT ([None]). A first run starts
+   at pc 0. Fuel restarts at every scheduling point, and an atomic block
+   holds no SCHED, so neither outlives the call. *)
+let run_thread (c : C.t) (sops : Op.t option array) (slots : int array) (stack : int array)
+    (tc : C.thread_code) (ts : tstate) result =
   let code = tc.C.t_code in
-  let stack = Array.make (max tc.C.t_stack 1) 0 in
   let locals = ts.locals and inited = ts.inited in
   let pos_tbl = c.C.c_pos and name_tbl = c.C.c_names and msg_tbl = c.C.c_msgs in
   (* Instruction operands and stack offsets are compiler-validated, so the
      dispatch loop uses unchecked accesses. *)
   let arg i = Array.unsafe_get code i in
-  let pc = ref entry in
+  let pc = ref (if ts.cur_pc < 0 then 0 else ts.cur_pc + 2) in
   let sp = ref 0 in
   let fuel = ref Machine.silent_fuel in
   let afuel = ref 0 in
-  let prim = ref 0 in
+  let prim = result in
+  let next = ref None in
   let running = ref true in
   try
     while !running do
@@ -186,11 +193,10 @@ let run_thread (c : C.t) (ops : Op.t array) (slots : int array) (tc : C.thread_c
         pc := if Array.unsafe_get stack !sp <> 0 then arg (p + 1) else p + 2
       | 24 (* SCHED opidx *) ->
         ts.cur_pc <- p;
-        prim := Sync.Raw.sched (Array.unsafe_get ops (arg (p + 1)));
-        fuel := Machine.silent_fuel;
-        pc := p + 2
+        next := Array.unsafe_get sops (arg (p + 1));
+        running := false
       | 25 (* PRIM *) ->
-        Array.unsafe_set stack !sp !prim;
+        Array.unsafe_set stack !sp prim;
         incr sp;
         pc := p + 1
       | 26 (* FUEL pos *) ->
@@ -215,7 +221,8 @@ let run_thread (c : C.t) (ops : Op.t array) (slots : int array) (tc : C.thread_c
           rt_err pos_tbl.(arg (p + 2)) "%s" msg_tbl.(arg (p + 1));
         pc := p + 3
       | _ -> assert false
-    done
+    done;
+    !next
   with Vm_error (msg, pos) ->
     Sync.fail (Format.asprintf "%s (thread %s, %a)" msg tc.C.t_name Ast.pp_pos pos)
 
@@ -258,12 +265,14 @@ let boot (c : C.t) () =
         | C.T_sleep -> Op.Sleep)
       c.C.c_ops
   in
+  (* Boxed once, as [run] returns them. *)
+  let sops = Array.map Option.some ops in
   let tstates =
     Array.map
       (fun (tc : C.thread_code) ->
         { locals = Array.make (max tc.C.t_nlocals 1) 0;
           inited = Array.make (max tc.C.t_nlocals 1) false;
-          cur_pc = 0 })
+          cur_pc = -1 })
       c.C.c_threads
   in
   let snapshot () =
@@ -298,7 +307,7 @@ let boot (c : C.t) () =
         o := !o + 1 + (2 * Array.length ts.locals))
       tstates
   in
-  let resume a off =
+  let restore a off =
     Array.blit a off slots 0 nslots;
     let o = ref (off + nslots) in
     Array.iter
@@ -309,17 +318,21 @@ let boot (c : C.t) () =
           ts.inited.(j) <- a.(!o + 2 + (2 * j)) <> 0
         done;
         o := !o + 1 + (2 * Array.length ts.locals))
-      tstates;
-    fun tid ->
-      let ts = tstates.(tid) in
-      run_thread c ops slots c.C.c_threads.(tid) ts ~entry:ts.cur_pc
+      tstates
   in
-  let threads =
-    Array.to_list
-      (Array.mapi (fun i tc -> run_thread c ops slots tc tstates.(i) ~entry:0) c.C.c_threads)
+  let depth = Array.fold_left (fun n (tc : C.thread_code) -> max n tc.C.t_stack) 1 c.C.c_threads in
+  let stack = Array.make depth 0 in
+  let run tid result = run_thread c sops slots stack c.C.c_threads.(tid) tstates.(tid) result in
+  let pending tid =
+    let ts = tstates.(tid) in
+    let code = c.C.c_threads.(tid).C.t_code in
+    if code.(ts.cur_pc) = C.op_sched then sops.(code.(ts.cur_pc + 1)) else None
   in
   ( (slots, tstates),
-    { Program.threads; snapshot = Some snapshot; saver = Some { Program.words; capture; resume } } )
+    { Program.threads = [];
+      machine = Some { Program.count = Array.length tstates; run; pending };
+      snapshot = Some snapshot;
+      saver = Some { Program.words; capture; restore } } )
 
 let program_of (c : C.t) =
   Program.make ~name:c.C.c_name (fun () -> snd (boot c ()))

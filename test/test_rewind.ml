@@ -134,6 +134,87 @@ let engine () =
     Engine.rewind run sv;
     check "a save can be rewound to twice" true (view () = at_save)
 
+(* A compiled program's threads are explicit-state machines: driven by hand,
+   with no effect handler installed (a [Sync] operation or any effect would
+   raise), each step delivers the engine's result and yields the thread's
+   next operation. Under fixed schedules that op stream must be the engine
+   trace, and the final pending operations must match the engine's. *)
+let machine_without_effects () =
+  let module Bs = Fairmc_util.Bitset in
+  let module Rng = Fairmc_util.Rng in
+  let files = programs () in
+  List.iter
+    (fun path ->
+      let prog = load ~static_por:true path in
+      List.iter
+        (fun seed ->
+          let rng = Rng.make (Int64.of_int seed) in
+          let run = Engine.start prog in
+          let steps = ref 0 in
+          while
+            !steps < 200 && Engine.failure run = None
+            && not (Bs.is_empty (Engine.enabled_set run))
+          do
+            let es = Bs.elements (Engine.enabled_set run) in
+            let tid = List.nth es (Rng.int rng (List.length es)) in
+            Engine.step run ~tid ~alt:(Rng.int rng (Engine.alternatives run tid));
+            incr steps
+          done;
+          let events = Trace.events (Engine.trace run) in
+          let n = Engine.nthreads run in
+          let final = List.init n (Engine.pending run) in
+          Engine.stop run;
+          let what = Printf.sprintf "%s seed %d" (Filename.basename path) seed in
+          ignore (Runtime.reset (Objects.create ()));
+          let booted = prog.Program.boot () in
+          let m = Option.get booted.Program.machine in
+          check_int (what ^ ": every thread is a machine thread") n m.Program.count;
+          check (what ^ ": no native threads") true (booted.Program.threads = []);
+          let pending = Array.init n (fun tid -> m.Program.run tid 0) in
+          List.iter
+            (fun (e : Trace.event) ->
+              let tid = e.Trace.tid in
+              check (what ^ ": op stream = engine trace") true
+                (match pending.(tid) with Some op -> Op.equal op e.Trace.op | None -> false);
+              let result =
+                match e.Trace.op with Op.Choose _ -> e.Trace.alt | _ -> Bool.to_int e.Trace.result
+              in
+              pending.(tid) <- m.Program.run tid result;
+              check (what ^ ": machine pending = returned op") true
+                (m.Program.pending tid = pending.(tid)))
+            events;
+          check (what ^ ": final pending operations") true (Array.to_list pending = final))
+        [ 1; 2; 3 ])
+    files
+
+(* Runtime errors reached only after a backtrack: thread b divides by,
+   indexes with, or spins silently on a value it reads before a writes it,
+   so the first execution (a first) passes and the error path is rewound
+   to. The report must be the AST interpreter's, and the one re-execution
+   (saver withheld) gives. *)
+let runtime_errors_after_backtrack () =
+  let cases =
+    [ ("division by zero", "thread b { local d = x; local r = 10 / d; }");
+      ("index out of bounds", "thread b { local i = x; arr[i - 1] = 5; }");
+      ("silent fuel", "thread b { local d = x; while (d == 0) { local k = 1; } }");
+      ("atomic fuel", "thread b { local d = x; atomic { while (d == 0) { skip; } } }") ]
+  in
+  List.iter
+    (fun (what, thread_b) ->
+      let ast =
+        D.Parser.parse_string ("array arr[2]; var x = 0; thread a { x = 1; } " ^ thread_b)
+      in
+      let cfg = { base with Search_config.max_executions = None } in
+      let rewound = Search.run cfg (D.Vm.compile ast) in
+      check (what ^ ": a safety violation") true
+        (match rewound.Report.verdict with Report.Safety_violation _ -> true | _ -> false);
+      check (what ^ ": found after a backtrack") true (rewound.Report.stats.Report.executions > 1);
+      check (what ^ ": the failing path was rewound to") true
+        (counter rewound.Report.metrics "search/steps/restored" > 0);
+      same_report (what ^ ": AST oracle") (Search.run cfg (D.Machine.compile ast)) rewound;
+      same_report (what ^ ": re-execution") (Search.run cfg (replaying (D.Vm.compile ast))) rewound)
+    cases
+
 (* Native programs cannot be saved: their continuations are one-shot, so
    backtracking re-executes the engine from the initial state up to the
    frame and restores the search registers from the frame. Their reports
@@ -288,4 +369,8 @@ let suite =
       differential;
     Alcotest.test_case "native re-execution reports = recorded replay reports" `Quick native;
     Alcotest.test_case "re-execution stops a nondeterministic program" `Quick nondeterministic;
-    Alcotest.test_case "resume: replayed first path, rewound later paths" `Quick resume ]
+    Alcotest.test_case "resume: replayed first path, rewound later paths" `Quick resume;
+    Alcotest.test_case "VM machines step without effects: op stream = engine trace" `Quick
+      machine_without_effects;
+    Alcotest.test_case "runtime errors after a backtrack: rewound = AST = re-executed" `Quick
+      runtime_errors_after_backtrack ]
