@@ -189,14 +189,23 @@ type prior = {
   pr_edges : AH.lock_edge list;
 }
 
-(* Checkpoint-writing control for this search ([--checkpoint FILE]). The
-   boundary snapshot is (re)captured at every path start; writes are
-   throttled by [ck_interval] and forced once when the search stops. *)
+(* Checkpoint-writing control for this search ([--checkpoint FILE]). Writes
+   are throttled by [ck_interval] and forced once when the search stops,
+   maybe mid-path. Every path start marks the boundary in O(1): the frame
+   count (frames below it are not mutated before the next [backtrack]),
+   RNG, scalar stats and blitted metric values. A write builds the
+   checkpoint from the last mark ([boundary_state]). *)
 type ckpt_ctl = {
   ck_path : string;
   ck_interval : float;
   mutable ck_last : float;
-  mutable ck_boundary : Checkpoint.seq_state option;
+  mutable ck_nframes : int;
+  mutable ck_rng : int64;
+  mutable ck_stats : Report.stats;
+  mutable ck_conflict_hits : int;
+  ck_meters : (M.t * Fair_sched.obs) option;  (* mirror [reg], [m_fair_obs] *)
+  mutable ck_analysis : Report.analysis option * (string * int) list;
+      (* analysis instances have no values to blit: taken eagerly *)
 }
 
 type state = {
@@ -940,40 +949,34 @@ let stats_of st =
     search_elapsed = elapsed st;
     probe_mass = st.probe_mass }
 
-(* Export the plain search statistics and the fair-scheduler accounting as
-   derived entries over a registry snapshot. Derived quantities that depend
-   on wall time or on the shard layout are gauges, never counters — the
-   counter slice of a snapshot is deterministic across [jobs] (tested). Pure
-   with respect to the registry: the checkpoint layer takes one snapshot per
-   path boundary, so exporting must not mutate the instruments. *)
-let metrics_of st =
-  match st.meters with
-  | None -> M.Snapshot.empty
-  | Some m ->
-    let snap = ref (M.snapshot m.reg) in
-    let c name v = snap := M.Snapshot.with_counter !snap name v in
-    c "search/executions" st.executions;
-    c "search/transitions" st.transitions;
-    c "search/nonterminating" st.nonterminating;
-    c "search/prunes/depth_bound" st.depth_bound_hits;
-    c "search/prunes/sleep_set" st.sleep_set_prunes;
-    c "sched/yields" st.yields;
-    c "sched/priority_edges_added" m.m_fair_obs.Fair_sched.edges_added;
-    c "sched/priority_edges_removed" m.m_fair_obs.Fair_sched.edges_removed;
-    c "sched/priority_penalties" m.m_fair_obs.Fair_sched.penalties;
-    c "search/probe_mass" st.probe_mass;
-    c "static/conflict_hits" st.conflict_hits;
-    let g name v = snap := M.Snapshot.with_gauge !snap name v in
-    (* A program constant, exported as a gauge (merged by max) so it stays
-       jobs- and resume-invariant. *)
-    (match st.prog.Program.facts with
-     | Some f -> g "static/invisible_merged" (Static_facts.merged_sites f)
-     | None -> ());
-    g "search/max_depth" st.max_depth;
-    g "search/max_threads" st.max_threads;
-    g "search/states" (Hashtbl.length st.states);
-    g "time/shard_busy_us" (int_of_float (elapsed st *. 1e6));
-    !snap
+(* The plain search statistics and the fair-scheduler accounting as derived
+   entries over a registry snapshot, spliced in by one merge. Derived
+   quantities that depend on wall time or on the shard layout are gauges,
+   never counters — the counter slice of a snapshot is deterministic across
+   [jobs] (tested). *)
+let derived_entries st (s : Report.stats) (fo : Fair_sched.obs) ~conflict_hits =
+  let c name v = (name, M.Snapshot.Counter v) and g name v = (name, M.Snapshot.Gauge v) in
+  [ c "search/executions" s.Report.executions;
+    c "search/transitions" s.Report.transitions;
+    c "search/nonterminating" s.Report.nonterminating;
+    c "search/prunes/depth_bound" s.Report.depth_bound_hits;
+    c "search/prunes/sleep_set" s.Report.sleep_set_prunes;
+    c "sched/yields" s.Report.yields;
+    c "sched/priority_edges_added" fo.Fair_sched.edges_added;
+    c "sched/priority_edges_removed" fo.Fair_sched.edges_removed;
+    c "sched/priority_penalties" fo.Fair_sched.penalties;
+    c "search/probe_mass" s.Report.probe_mass;
+    c "static/conflict_hits" conflict_hits;
+    g "search/max_depth" s.Report.max_depth;
+    g "search/max_threads" s.Report.max_threads;
+    g "search/states" s.Report.states;
+    g "time/shard_busy_us" (int_of_float (s.Report.elapsed *. 1e6)) ]
+  @
+  (* A program constant, exported as a gauge (merged by max) so it stays
+     jobs- and resume-invariant. *)
+  match st.prog.Program.facts with
+  | Some f -> [ g "static/invisible_merged" (Static_facts.merged_sites f) ]
+  | None -> []
 
 let is_systematic (cfg : C.t) =
   match cfg.mode with
@@ -1003,15 +1006,19 @@ let analysis_report st =
           potential_deadlock_cycles = AH.cycles combined.AH.lock_edges },
       combined.AH.counters )
 
-(* This session's report pieces — stats, metrics with the per-analysis
-   counters spliced in, analysis results — with any resumed prior totals
-   folded in. Pure; taken once per path boundary when checkpointing. *)
-let totals st =
-  let analysis, acounters = analysis_report st in
+(* Report pieces from this session's values — live, or marked at a path
+   boundary: stats, metrics (the registry and fair-scheduler counts in
+   [meters]) with the derived entries and per-analysis counters spliced
+   in, analysis results — with any resumed prior totals folded in. *)
+let totals_of st ~stats ~meters ~conflict_hits (analysis, acounters) =
+  let acounters = List.map (fun (k, v) -> (k, M.Snapshot.Counter v)) acounters in
   let metrics =
-    List.fold_left (fun m (k, v) -> M.Snapshot.with_counter m k v) (metrics_of st) acounters
+    match meters with
+    | Some (reg, fo) ->
+      M.Snapshot.with_entries (M.snapshot reg)
+        (derived_entries st stats fo ~conflict_hits @ acounters)
+    | None -> M.Snapshot.of_entries acounters
   in
-  let stats = stats_of st in
   match st.prior with
   | None -> (stats, metrics, analysis)
   | Some p ->
@@ -1026,47 +1033,69 @@ let totals st =
     in
     (stats, Report.fix_lockgraph_counters metrics analysis, analysis)
 
-(* Snapshot the DFS stack plus cumulative totals — what a resume needs to
-   continue with the next unexplored path. Frames are deep-copied (the
-   backtracking mutates them in place); coverage signatures are filled in at
-   write time, where the table is only read (recording is idempotent, so a
-   resumed session re-recording a partial path's states converges to the
-   same union as the uninterrupted run). *)
-let capture_boundary st =
+let totals st =
+  totals_of st ~stats:(stats_of st)
+    ~meters:(Option.map (fun m -> (m.reg, m.m_fair_obs)) st.meters)
+    ~conflict_hits:st.conflict_hits (analysis_report st)
+
+let mark_boundary st ck =
+  ck.ck_nframes <- st.nframes;
+  ck.ck_rng <- Rng.state st.rng;
+  ck.ck_stats <- stats_of st;
+  ck.ck_conflict_hits <- st.conflict_hits;
+  (match (st.meters, ck.ck_meters) with
+   | Some m, Some (reg, fo) ->
+     M.blit ~src:m.reg ~dst:reg;
+     fo.edges_added <- m.m_fair_obs.edges_added;
+     fo.edges_removed <- m.m_fair_obs.edges_removed;
+     fo.penalties <- m.m_fair_obs.penalties
+   | _ -> ());
+  if st.analysis <> [] then ck.ck_analysis <- analysis_report st
+
+(* The marked boundary as a checkpoint: the DFS stack below the mark plus
+   cumulative totals — what a resume needs to continue with the next
+   unexplored path. Frames are deep-copied (the backtracking mutates them in
+   place); a complete checkpoint records none, since nothing resumes from
+   it. Coverage signatures are read at write time (recording is idempotent,
+   so a resumed session re-recording a partial path's states converges to
+   the same union as the uninterrupted run). *)
+let boundary_state st ck ~complete =
   let dec (a : alt) = { Checkpoint.c_tid = a.tid; c_alt = a.alt; c_cost = a.cost } in
   let frames =
-    Array.init st.nframes (fun i ->
-        let fr = st.frames.(i) in
-        { Checkpoint.c_chosen = dec fr.chosen;
-          c_rest = List.map dec fr.rest;
-          c_sleep = fr.sleep;
-          c_width = fr.width })
+    if complete then [||]
+    else
+      Array.init ck.ck_nframes (fun i ->
+          let fr = st.frames.(i) in
+          { Checkpoint.c_chosen = dec fr.chosen;
+            c_rest = List.map dec fr.rest;
+            c_sleep = fr.sleep;
+            c_width = fr.width })
   in
-  let stats, metrics, analysis = totals st in
-  let edges =
-    match analysis with Some a -> a.Report.lock_order_edges | None -> []
+  let stats, metrics, analysis =
+    totals_of st ~stats:ck.ck_stats ~meters:ck.ck_meters ~conflict_hits:ck.ck_conflict_hits
+      ck.ck_analysis
   in
-  { Checkpoint.sq_frames = frames;
-    sq_rng = Rng.state st.rng;
-    sq_stats = stats;
-    sq_metrics = metrics;
-    sq_states = [];
-    sq_edges = edges;
-    sq_complete = false }
-
-let write_checkpoint st ck (b : Checkpoint.seq_state) ~complete =
   let states =
     if st.cfg.C.coverage then
       List.sort Int64.compare (Hashtbl.fold (fun k () acc -> k :: acc) st.states [])
     else []
   in
+  { Checkpoint.sq_frames = frames;
+    sq_rng = ck.ck_rng;
+    sq_stats = stats;
+    sq_metrics = metrics;
+    sq_states = states;
+    sq_edges = (match analysis with Some a -> a.Report.lock_order_edges | None -> []);
+    sq_complete = complete }
+
+(* Write the marked boundary. *)
+let write_checkpoint st ck ~complete =
   ck.ck_last <- Obs.Clock.now ();
   let t = Obs.Span.start () in
   let saved =
     Checkpoint.save_result ck.ck_path
       { Checkpoint.fingerprint = Checkpoint.fingerprint st.cfg ~program:st.prog.Program.name;
-        payload =
-          Checkpoint.Seq { b with Checkpoint.sq_states = states; sq_complete = complete } }
+        payload = Checkpoint.Seq (boundary_state st ck ~complete) }
   in
   (match (st.meters, st.events) with
    | None, None -> ()
@@ -1117,7 +1146,7 @@ let run_loop_body st =
   in
   let verdict = ref None in
   (* Where the search stood when a [Limits_reached] stop hit, relative to the
-     boundary snapshot: at it, inside the following path, or after completing
+     marked boundary: at it, inside the following path, or after completing
      a whole path — this decides what the final checkpoint must record. *)
   let stop_at = ref `Boundary in
   let mark_error () =
@@ -1126,15 +1155,13 @@ let run_loop_body st =
   in
   with_run st (fun () ->
     while !verdict = None do
-      (* Path boundary: (re)capture the resume snapshot and do a throttled
-         checkpoint write. *)
+      (* Path boundary: mark it, and do a throttled checkpoint write. *)
       (match st.ckpt with
        | None -> ()
        | Some ck ->
-         let b = capture_boundary st in
-         ck.ck_boundary <- Some b;
+         mark_boundary st ck;
          if Obs.Clock.now () -. ck.ck_last >= ck.ck_interval then
-           write_checkpoint st ck b ~complete:false);
+           write_checkpoint st ck ~complete:false);
       (* Poll the wall clock, the interrupt flag and the execution budget at
          every path start, so short time budgets cannot overshoot by a whole
          path and a worker never starts a path its peers already used up. *)
@@ -1248,9 +1275,9 @@ let run_loop_body st =
     done);
   let final_verdict = Option.get !verdict in
   (* Final checkpoint flush. Where the resume should pick up depends on how
-     the stop relates to the last boundary snapshot: a stop at the boundary
-     or mid-path flushes the pre-path snapshot (the partial path is excluded
-     and re-executed in full by the resume); a stop after a completed path
+     the stop relates to the last marked boundary: a stop at the boundary
+     or mid-path writes that mark (the partial path is excluded and
+     re-executed in full by the resume); a stop after a completed path
      must first advance past it — if backtracking fails there is nothing
      left and the session is complete. Sampling modes resume by remaining
      budget, so a budget stop stays [complete:false] (a later session may
@@ -1258,22 +1285,15 @@ let run_loop_body st =
   (match st.ckpt with
    | None -> ()
    | Some ck ->
-     (match final_verdict with
-      | Report.Limits_reached ->
-        (match !stop_at with
-         | `Boundary | `Mid_path ->
-           let b =
-             match ck.ck_boundary with Some b -> b | None -> capture_boundary st
-           in
-           write_checkpoint st ck b ~complete:false
-         | `After_path ->
-           if systematic then begin
-             if backtrack st then
-               write_checkpoint st ck (capture_boundary st) ~complete:false
-             else write_checkpoint st ck (capture_boundary st) ~complete:true
-           end
-           else write_checkpoint st ck (capture_boundary st) ~complete:false)
-      | _ -> write_checkpoint st ck (capture_boundary st) ~complete:true));
+     (match (final_verdict, !stop_at) with
+      | Report.Limits_reached, (`Boundary | `Mid_path) -> write_checkpoint st ck ~complete:false
+      | Report.Limits_reached, `After_path ->
+        let complete = systematic && not (backtrack st) in
+        mark_boundary st ck;
+        write_checkpoint st ck ~complete
+      | _ ->
+        mark_boundary st ck;
+        write_checkpoint st ck ~complete:true));
   (* The final checkpoint may have queued an advisory event after the last
      path-boundary flush. *)
   (match st.events with Some b -> Obs.Events.flush b | None -> ());
@@ -1441,7 +1461,13 @@ let run ?resume cfg prog =
            { ck_path = path;
              ck_interval = cfg.C.checkpoint_interval;
              ck_last = Obs.Clock.now ();
-             ck_boundary = None });
+             ck_nframes = 0;
+             ck_rng = 0L;
+             ck_stats = stats_of st;
+             ck_conflict_hits = 0;
+             ck_meters =
+               Option.map (fun m -> (M.mirror m.reg, Fair_sched.obs_create ())) st.meters;
+             ck_analysis = (None, []) });
     let report = run_loop st in
     (match progress with None -> () | Some p -> Obs.Progress.force p (progress_sample st));
     post_run_end cfg report;

@@ -25,9 +25,11 @@ val run : ?resume:Checkpoint.seq_state -> Search_config.t -> Program.t -> Report
     reduced by the prior session's executions, and the prior totals are
     folded back into the final report — an interrupted-then-resumed run
     reports the same verdict, counterexample and statistics as an
-    uninterrupted one. When [config.checkpoint] is set, the search snapshots
-    its state at every path boundary and writes the file at most every
-    [checkpoint_interval] seconds, plus exactly once when it stops. *)
+    uninterrupted one. When [config.checkpoint] is set, the search marks
+    every path boundary in O(1) and builds a checkpoint from the last mark
+    only when it writes one: at most every [checkpoint_interval] seconds,
+    plus exactly once when it stops (a complete checkpoint records no
+    frames). *)
 
 val good_samaritan_culprit : (int * int * bool) list -> int
 (** Pick the culprit thread of a good-samaritan divergence from

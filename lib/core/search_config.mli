@@ -120,10 +120,13 @@ type t = {
           file so an interrupted run can be continued with [--resume]; written
           atomically (temp file + rename) at path boundaries, throttled by
           [checkpoint_interval], and always flushed once when the search stops
-          (see DESIGN.md, "Durable sessions") *)
+          (see DESIGN.md, "Durable sessions"). A boundary that is not written
+          costs O(1); the checkpoint is built only for a write. A complete
+          checkpoint (nothing left to explore) records no frames. *)
   checkpoint_interval : float;
       (** minimum seconds between periodic checkpoint writes; [0] writes at
-          every path boundary (tests). Default 30. *)
+          every path boundary (tests), paying a full capture per path.
+          Default 30. *)
   interp : interp;  (** DSL execution backend; default [Vm] *)
   static_por : bool;
       (** ChessLang programs loaded through the static-analysis layer

@@ -131,6 +131,20 @@ module Snapshot = struct
   let with_counter t name v = with_entry t name (Counter v)
   let with_gauge t name v = with_entry t name (Gauge v)
 
+  (* Sort [l] by name and merge it into [t] in one pass, [l]'s entries
+     replacing [t]'s. *)
+  let with_entries t l =
+    let rec override a b =
+      match (a, b) with
+      | [], r | r, [] -> r
+      | ((n1, _) as x) :: a', ((n2, _) as y) :: b' ->
+        let c = String.compare n1 n2 in
+        if c = 0 then y :: override a' b'
+        else if c < 0 then x :: override a' b
+        else y :: override a b'
+    in
+    override t (List.sort (fun (a, _) (b, _) -> String.compare a b) l)
+
   let of_entries l =
     List.fold_left (fun acc (name, e) -> with_entry acc name e) empty l
 
@@ -166,6 +180,29 @@ module Snapshot = struct
       t;
     Format.pp_close_box ppf ()
 end
+
+let mirror t =
+  { items =
+      List.map
+        (function
+          | I_counter c -> I_counter { c with c = c.c }
+          | I_gauge g -> I_gauge { g with g = g.g }
+          | I_histogram h -> I_histogram { h with h_buckets = Array.copy h.h_buckets })
+        t.items }
+
+let blit ~src ~dst =
+  List.iter2
+    (fun s d ->
+      match (s, d) with
+      | I_counter a, I_counter b -> b.c <- a.c
+      | I_gauge a, I_gauge b -> b.g <- a.g
+      | I_histogram a, I_histogram b ->
+        Array.blit a.h_buckets 0 b.h_buckets 0 n_buckets;
+        b.h_count <- a.h_count;
+        b.h_sum <- a.h_sum;
+        b.h_max <- a.h_max
+      | _ -> invalid_arg "Metrics.blit: not a mirror")
+    src.items dst.items
 
 let snapshot t =
   t.items

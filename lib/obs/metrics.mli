@@ -96,6 +96,10 @@ module Snapshot : sig
 
   val with_gauge : t -> string -> int -> t
 
+  val with_entries : t -> (string * entry) list -> t
+  (** Insert-or-replace entries with distinct names, in any order, in one
+      merge: equal to folding {!with_counter}/{!with_gauge} over them. *)
+
   val of_entries : (string * entry) list -> t
   (** Build a snapshot from a raw entry list in any order (later duplicates
       replace earlier ones). Used by the checkpoint codec, which stores
@@ -112,3 +116,10 @@ module Snapshot : sig
 end
 
 val snapshot : t -> Snapshot.t
+
+val mirror : t -> t
+(** A copy of the registry, instruments and current values. *)
+
+val blit : src:t -> dst:t -> unit
+(** Copy every value of [src] into [dst], a {!mirror} of it, allocating
+    nothing. @raise Invalid_argument if [dst] does not mirror [src]. *)

@@ -183,10 +183,11 @@ let prefix_folded snap =
   ("search/steps/prefix", !prefix) :: rest
 
 (* Run [cfg] uninterrupted; run it again with [max_executions = cut] and a
-   checkpoint; resume; assert verdict, stats and metric counters all match
-   the uninterrupted run. Returns both reports for extra assertions. *)
-let resume_equal ?(runner = fun ?resume cfg p -> Supervisor.run ?resume cfg p) cfg prog
-    ~cut =
+   checkpoint written every [interval] seconds; resume; assert verdict,
+   stats and metric counters all match the uninterrupted run. Returns both
+   reports for extra assertions. *)
+let resume_equal ?(runner = fun ?resume cfg p -> Supervisor.run ?resume cfg p)
+    ?(interval = 0.) cfg prog ~cut =
   let full = runner cfg prog in
   (* Clamp below the uninterrupted total so the cut genuinely interrupts. *)
   let cut = max 1 (min cut (full.Report.stats.Report.executions - 1)) in
@@ -195,7 +196,7 @@ let resume_equal ?(runner = fun ?resume cfg p -> Supervisor.run ?resume cfg p) c
     { cfg with
       Search_config.max_executions = Some cut;
       checkpoint = Some file;
-      checkpoint_interval = 0. }
+      checkpoint_interval = interval }
   in
   let partial = runner cfg_cut prog in
   check "interrupted run stopped at the limit" true
@@ -216,6 +217,55 @@ let resume_equal ?(runner = fun ?resume cfg p -> Supervisor.run ?resume cfg p) c
     (prefix_folded full.Report.metrics)
     (prefix_folded resumed.Report.metrics);
   (full, resumed)
+
+(* Interrupt from inside a path (a progress tick at poll_interval=1 fires
+   between steps), not at a boundary: the checkpoint, written every
+   [interval] seconds, must exclude the partial path and the resume must
+   re-run it fully. *)
+let mid_path_resume ~interval () =
+  let prog = W.Dining.coverage_program ~n:2 in
+  let full = Search.run base prog in
+  let file = Filename.temp_file "fairmc" ".ckpt" in
+  let ticks = ref 0 in
+  let cut =
+    { base with
+      Search_config.poll_interval = 1;
+      progress_interval = 0.;
+      on_progress =
+        Some
+          (fun _ ->
+            incr ticks;
+            if !ticks = 13 then CK.request_interrupt ());
+      checkpoint = Some file;
+      checkpoint_interval = interval }
+  in
+  let partial =
+    Fun.protect ~finally:CK.clear_interrupt (fun () -> Search.run cut prog)
+  in
+  check "interrupt stopped the search" true
+    (partial.Report.verdict = Report.Limits_reached);
+  check "something was left to do" true
+    (partial.Report.stats.Report.executions < full.Report.stats.Report.executions);
+  let resumed =
+    match CK.load file with
+    | Error e -> Alcotest.fail e
+    | Ok ck ->
+      (match CK.plan_resume ck base ~program:prog.Program.name with
+       | Ok (CK.Seq sq) ->
+         check_int "the checkpoint excludes the partial path"
+           (partial.Report.stats.Report.executions - 1)
+           sq.CK.sq_stats.Report.executions;
+         Search.run ~resume:sq base prog
+       | Ok _ -> Alcotest.fail "expected a sequential payload"
+       | Error e -> Alcotest.fail e)
+  in
+  Sys.remove file;
+  check "same verdict" true (resumed.Report.verdict = full.Report.verdict);
+  check "same stats" true
+    (strip_time resumed.Report.stats = strip_time full.Report.stats);
+  Alcotest.check counters "same metric counters"
+    (MS.counters full.Report.metrics)
+    (MS.counters resumed.Report.metrics)
 
 (* ------------------------------------------------------------------ *)
 
@@ -343,49 +393,8 @@ let unit_tests =
           (final.Report.verdict = full.Report.verdict);
         check "same stats as uninterrupted" true
           (strip_time final.Report.stats = strip_time full.Report.stats));
-    Alcotest.test_case "mid-path interrupt resumes exactly" `Quick (fun () ->
-        (* Interrupt from inside a path (a progress tick at poll_interval=1
-           fires between steps), not at a boundary: the checkpoint must
-           exclude the partial path and the resume must re-run it fully. *)
-        let prog = W.Dining.coverage_program ~n:2 in
-        let full = Search.run base prog in
-        let file = Filename.temp_file "fairmc" ".ckpt" in
-        let ticks = ref 0 in
-        let cut =
-          { base with
-            Search_config.poll_interval = 1;
-            progress_interval = 0.;
-            on_progress =
-              Some
-                (fun _ ->
-                  incr ticks;
-                  if !ticks = 13 then CK.request_interrupt ());
-            checkpoint = Some file;
-            checkpoint_interval = 0. }
-        in
-        let partial =
-          Fun.protect ~finally:CK.clear_interrupt (fun () -> Search.run cut prog)
-        in
-        check "interrupt stopped the search" true
-          (partial.Report.verdict = Report.Limits_reached);
-        check "something was left to do" true
-          (partial.Report.stats.Report.executions < full.Report.stats.Report.executions);
-        let resumed =
-          match CK.load file with
-          | Error e -> Alcotest.fail e
-          | Ok ck ->
-            (match CK.plan_resume ck base ~program:prog.Program.name with
-             | Ok (CK.Seq sq) -> Search.run ~resume:sq base prog
-             | Ok _ -> Alcotest.fail "expected a sequential payload"
-             | Error e -> Alcotest.fail e)
-        in
-        Sys.remove file;
-        check "same verdict" true (resumed.Report.verdict = full.Report.verdict);
-        check "same stats" true
-          (strip_time resumed.Report.stats = strip_time full.Report.stats);
-        Alcotest.check counters "same metric counters"
-          (MS.counters full.Report.metrics)
-          (MS.counters resumed.Report.metrics));
+    Alcotest.test_case "mid-path interrupt resumes exactly" `Quick
+      (mid_path_resume ~interval:0.);
     Alcotest.test_case "resume finds the same counterexample" `Quick (fun () ->
         let prog = W.Litmus.race_assert () in
         let full = Search.run base prog in
@@ -476,4 +485,202 @@ let unit_tests =
         | Search.Replayed_failure _ -> Alcotest.fail "unexpected failure"
         | Search.Replayed_no_failure -> Alcotest.fail "mismatch was swallowed") ]
 
-let suite = unit_tests @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops
+(* ------------------------------------------------------------------ *)
+(* Lazy boundaries: with a long interval the only write is the final one,
+   built from the boundary the search marked at the last path start.      *)
+
+let lazy_interval = 1e9
+
+let example path =
+  match List.find_opt Sys.file_exists [ "../../../" ^ path; path ] with
+  | Some p -> p
+  | None -> Alcotest.fail ("missing fixture " ^ path)
+
+let counter snap name = match MS.find snap name with Some (MS.Counter v) -> v | _ -> 0
+
+(* Everything in a metrics snapshot but the wall-clock entries. *)
+let untimed snap =
+  List.filter
+    (fun (name, _) ->
+      not (String.starts_with ~prefix:"time/" name || String.starts_with ~prefix:"span/" name))
+    (MS.entries snap)
+
+(* The chessd-mix catalogue of perfbench/fmbench.ml, as (program, needs the
+   race detector); ChessLang entries are paths from the repository root. *)
+let mix_catalogue =
+  [ ("dining-3-ordered", false);
+    ("examples/programs/bounded_buffer.chess", false);
+    ("channel-bug1", false);
+    ("wsq-2s-bug2", false);
+    ("wsq-1s-bug3", false);
+    ("dining-2-deadlock", false);
+    ("promise-stale-cache", false);
+    ("examples/programs/stale_flag_livelock.chess", false);
+    ("dining-2-tryacquire", false);
+    ("examples/programs/fig1_dining.chess", false);
+    ("taskpool-1w-spin-shutdown", false);
+    ("races-dcl", true) ]
+
+let resolve name =
+  if Filename.check_suffix name ".chess" then Fairmc_static.load_file (example name)
+  else
+    match W.Registry.find name with
+    | Some e -> e.W.Registry.program
+    | None -> Alcotest.fail ("unknown program " ^ name)
+
+(* The mix catalogue plus every example program, each once. *)
+let differential_programs () =
+  let examples =
+    let dir = Filename.dirname (example "examples/programs/fig3.chess") in
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".chess")
+    |> List.sort compare
+    |> List.map (fun f -> ("examples/programs/" ^ f, false))
+  in
+  mix_catalogue @ List.filter (fun (p, _) -> not (List.mem_assoc p mix_catalogue)) examples
+
+(* Run every program as a chessd job runs it (the CLI's seed, metrics, an
+   event stream), with and without a checkpoint. *)
+let checkpointing_never_changes_the_answer () =
+  List.iter
+    (fun (name, races) ->
+      let prog = resolve name in
+      let cfg =
+        { Search_config.default with
+          seed = 24141L;
+          metrics = true;
+          (* A full DFS of Dekker's protocol takes minutes; context-bounded,
+             it takes milliseconds. *)
+          mode =
+            (if Filename.basename name = "dekker.chess" then Search_config.Context_bounded 2
+             else Search_config.Dfs);
+          analyses = (if races then [ Fairmc_analysis.Hb_race.analysis ] else []) }
+      in
+      let run cfg =
+        let writes = ref 0 in
+        let write line =
+          match Json.of_string line with
+          | Ok (Json.Obj kvs) when List.assoc_opt "kind" kvs = Some (Json.Str "checkpoint") ->
+            incr writes
+          | _ -> ()
+        in
+        let stream = Fairmc_obs.Events.create ~write () in
+        let r = Search.run { cfg with Search_config.events = Some stream } prog in
+        (r, !writes)
+      in
+      let plain, plain_writes = run cfg in
+      let file = Filename.temp_file "fairmc" ".ckpt" in
+      let cfg_ck =
+        { cfg with Search_config.checkpoint = Some file; checkpoint_interval = lazy_interval }
+      in
+      let ck, ck_writes = run cfg_ck in
+      check (name ^ ": same verdict") true (ck.Report.verdict = plain.Report.verdict);
+      check (name ^ ": same stats") true
+        (strip_time ck.Report.stats = strip_time plain.Report.stats);
+      check (name ^ ": same metrics") true (untimed ck.Report.metrics = untimed plain.Report.metrics);
+      check_int (name ^ ": no checkpoint event without a checkpoint") 0 plain_writes;
+      check_int (name ^ ": one checkpoint event") 1 ck_writes;
+      (match CK.load file with
+       | Error e -> Alcotest.fail e
+       | Ok t ->
+         (match t.CK.payload with
+          | CK.Seq sq ->
+            check (name ^ ": complete") true sq.CK.sq_complete;
+            check_int (name ^ ": a complete checkpoint records no frames") 0
+              (Array.length sq.CK.sq_frames);
+            check (name ^ ": stats recorded") true
+              (strip_time sq.CK.sq_stats = strip_time plain.Report.stats);
+            Alcotest.check counters (name ^ ": metrics recorded")
+              (MS.counters plain.Report.metrics) (MS.counters sq.CK.sq_metrics)
+          | _ -> Alcotest.fail "expected a sequential payload");
+         check (name ^ ": a complete checkpoint refuses to resume") true
+           (match CK.plan_resume t cfg_ck ~program:prog.Program.name with
+            | Error _ -> true
+            | Ok _ -> false));
+      Sys.remove file)
+    (differential_programs ())
+
+(* A stop mid-path must write the checkpoint of the boundary the path
+   started from — the one a write at that boundary recorded — although the
+   path has since pushed frames and counted steps. The 100th step of
+   bounded_buffer.chess falls in the fresh part of its 8th path, after a
+   rewind. *)
+let mid_path_writes_the_boundary () =
+  let prog = resolve "examples/programs/bounded_buffer.chess" in
+  let file = Filename.temp_file "fairmc" ".ckpt" in
+  let load () =
+    match CK.load file with
+    | Ok { CK.payload = CK.Seq sq; _ } -> sq
+    | Ok _ -> Alcotest.fail "expected a sequential payload"
+    | Error e -> Alcotest.fail e
+  in
+  let interrupted ~interval ~at_stop =
+    let ticks = ref 0 in
+    let cfg =
+      { base with
+        Search_config.poll_interval = 1;
+        progress_interval = 0.;
+        on_progress =
+          Some
+            (fun _ ->
+              incr ticks;
+              if !ticks = 100 then begin
+                at_stop ();
+                CK.request_interrupt ()
+              end);
+        checkpoint = Some file;
+        checkpoint_interval = interval }
+    in
+    let r = Fun.protect ~finally:CK.clear_interrupt (fun () -> Search.run cfg prog) in
+    (r, load ())
+  in
+  let same what (a : CK.seq_state) (b : CK.seq_state) =
+    check (what ^ ": frames") true (a.CK.sq_frames = b.CK.sq_frames);
+    check (what ^ ": rng") true (a.CK.sq_rng = b.CK.sq_rng);
+    check (what ^ ": stats") true (strip_time a.CK.sq_stats = strip_time b.CK.sq_stats);
+    Alcotest.check counters (what ^ ": counters") (MS.counters a.CK.sq_metrics)
+      (MS.counters b.CK.sq_metrics)
+  in
+  (* Every boundary is written: the file holds the current path's boundary
+     when the interrupt is requested. *)
+  let boundary = ref None in
+  let r, eager = interrupted ~interval:0. ~at_stop:(fun () -> boundary := Some (load ())) in
+  let boundary = Option.get !boundary in
+  check_int "stopped mid-path" (r.Report.stats.Report.executions - 1)
+    boundary.CK.sq_stats.Report.executions;
+  same "final write at interval 0" boundary eager;
+  let _, lazy_ = interrupted ~interval:lazy_interval ~at_stop:ignore in
+  Sys.remove file;
+  same "only write at a long interval" boundary lazy_
+
+let lazy_tests =
+  [ Alcotest.test_case "lazy boundary: a mid-path stop writes the marked boundary" `Quick
+      mid_path_writes_the_boundary;
+    Alcotest.test_case "lazy boundary: mid-path interrupt resumes exactly" `Quick
+      (mid_path_resume ~interval:lazy_interval);
+    Alcotest.test_case "lazy boundary: ChessLang budget cut resumes exactly (rewind)" `Quick
+      (fun () ->
+        let prog = resolve "examples/programs/bounded_buffer.chess" in
+        let full, _ = resume_equal ~interval:lazy_interval base prog ~cut:1_000 in
+        check "the search rewinds" true (counter full.Report.metrics "search/steps/restored" > 0));
+    Alcotest.test_case "lazy boundary: native budget cut resumes exactly (re-execution)"
+      `Quick (fun () ->
+        let prog = W.Dining.program ~n:3 W.Dining.Ordered in
+        let full, _ = resume_equal ~interval:lazy_interval base prog ~cut:400 in
+        check_int "the search re-executes" 0 (counter full.Report.metrics "search/steps/restored"));
+    Alcotest.test_case "lazy boundary: --races budget cut resumes exactly" `Quick (fun () ->
+        let cfg =
+          { base with
+            Search_config.analyses =
+              [ Fairmc_analysis.Hb_race.analysis; Fairmc_analysis.Lock_graph.analysis ] }
+        in
+        let full, resumed =
+          resume_equal ~interval:lazy_interval cfg (W.Dining.program ~n:3 W.Dining.Ordered)
+            ~cut:400
+        in
+        check "same analysis results" true (resumed.Report.analysis = full.Report.analysis));
+    Alcotest.test_case "checkpointing never changes the answer" `Quick
+      checkpointing_never_changes_the_answer ]
+
+let suite =
+  unit_tests @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops @ lazy_tests

@@ -358,7 +358,77 @@ let export_tests =
               | _ -> Alcotest.fail "traceEvents missing")
            | _ -> Alcotest.fail "not an object")) ]
 
+(* Derived entries are spliced into a search's snapshot by one
+   [with_entries] merge; it must equal the [with_counter]/[with_gauge] fold
+   it replaced, entry for entry, including names that collide with the
+   snapshot. *)
+let splice_qprops =
+  let derived_gen =
+    let open QCheck.Gen in
+    let* entries =
+      list_size (int_bound 16)
+        (let* pool = int_bound 3 in
+         let* i = int_bound 5 in
+         let* v = int_bound 1_000 in
+         let* gauge = bool in
+         return
+           ( Printf.sprintf "%c/%d" (if pool = 3 then 'z' else Char.chr (Char.code 'a' + pool)) i,
+             gauge,
+             v ))
+    in
+    (* Distinct names, as a search derives them. *)
+    shuffle_l (List.sort_uniq (fun (a, _, _) (b, _, _) -> compare a b) entries)
+  in
+  [ QCheck.Test.make ~count:500 ~name:"with_entries equals the with_counter fold"
+      (QCheck.pair snapshot_arb (QCheck.make derived_gen))
+      (fun (snap, derived) ->
+        let old =
+          List.fold_left
+            (fun s (name, gauge, v) ->
+              if gauge then M.Snapshot.with_gauge s name v else M.Snapshot.with_counter s name v)
+            snap derived
+        in
+        let spliced =
+          M.Snapshot.with_entries snap
+            (List.map
+               (fun (name, gauge, v) ->
+                 (name, if gauge then M.Snapshot.Gauge v else M.Snapshot.Counter v))
+               derived)
+        in
+        M.Snapshot.entries old = M.Snapshot.entries spliced
+        && Json.to_string (M.Snapshot.to_json old) = Json.to_string (M.Snapshot.to_json spliced)) ]
+
+let mirror_tests =
+  [ Alcotest.test_case "blit copies every value into a mirror without allocating" `Quick
+      (fun () ->
+        let reg = M.create () in
+        let c = M.counter reg "c" and g = M.gauge reg "g" and h = M.histogram reg "h" in
+        M.add c 3;
+        M.set g 9;
+        M.observe h 5;
+        let mirror = M.mirror reg in
+        check "a mirror starts with the registry's values" true
+          (M.Snapshot.entries (M.snapshot mirror) = M.Snapshot.entries (M.snapshot reg));
+        M.incr c;
+        M.set g 2;
+        List.iter (M.observe h) [ 0; 1; 1_000_000 ];
+        check "the mirror does not share the instruments" false
+          (M.Snapshot.entries (M.snapshot mirror) = M.Snapshot.entries (M.snapshot reg));
+        M.blit ~src:reg ~dst:mirror;
+        let before = Gc.minor_words () in
+        M.blit ~src:reg ~dst:mirror;
+        let words = Gc.minor_words () -. before in
+        check "blit allocates nothing" true (words = 0.);
+        check "blit copies counters, gauges and histograms" true
+          (M.Snapshot.entries (M.snapshot mirror) = M.Snapshot.entries (M.snapshot reg));
+        check "blit refuses a registry that is not a mirror" true
+          (match M.blit ~src:reg ~dst:(M.create ()) with
+           | exception Invalid_argument _ -> true
+           | () -> false)) ]
+
 let suite =
   json_unit_tests @ metrics_unit_tests @ determinism_tests @ progress_tests
   @ export_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) (json_qprops @ metrics_qprops)
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) splice_qprops
+  @ mirror_tests
